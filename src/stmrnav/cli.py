@@ -30,11 +30,8 @@ EXIT_OK = 0
 EXIT_DATA = 1
 EXIT_USAGE = 2
 
-_CONFIG_KEYS = {
-    "tau", "r", "matrix_size", "voxel_size", "max_range", "mount",
-    "margin", "requery_limit", "max_unparseable", "plan_mode",
-    "map_format", "success_radius", "max_actions",
-}
+_CONFIG_KEYS = frozenset(
+    f.name for f in fields(evaluation.LoopConfig)) - {"intrinsics"}
 
 
 def _load_loop_config(path, overrides) -> evaluation.LoopConfig:
@@ -50,9 +47,7 @@ def _load_loop_config(path, overrides) -> evaluation.LoopConfig:
                 f"unknown config keys: {', '.join(sorted(unknown))}")
         values.update(data)
     values.update({k: v for k, v in overrides.items() if v is not None})
-    valid = {f.name for f in fields(evaluation.LoopConfig)}
-    config = evaluation.LoopConfig(
-        **{k: v for k, v in values.items() if k in valid})
+    config = evaluation.LoopConfig(**values)
     config.validate()
     return config
 

@@ -24,7 +24,8 @@ import io
 import math
 import os
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
+from typing import get_args, get_type_hints
 
 import numpy as np
 
@@ -103,6 +104,9 @@ class LoopConfig:
     task_description: str = TASK_DESCRIPTION
 
     def validate(self) -> None:
+        for f in fields(self):
+            _check_type(f.name, getattr(self, f.name),
+                        _LOOP_CONFIG_TYPES[f.name])
         if not (0.0 < self.tau < 1.0):
             raise ValueError(f"tau must be in (0, 1), got {self.tau}")
         if self.matrix_size < 2 or self.matrix_size % 2:
@@ -140,6 +144,27 @@ class LoopConfig:
     @property
     def mount_matrix(self) -> np.ndarray:
         return FORWARD_MOUNT if self.mount == "forward" else DOWNWARD_MOUNT
+
+
+_LOOP_CONFIG_TYPES = get_type_hints(LoopConfig)
+
+
+def _check_type(name: str, value, hint) -> None:
+    """Reject a config value that does not fit its field's annotation.
+
+    Float fields take ints as well (a JSON file may write 5 for 5.0) and
+    must be finite.  No field is a bool, so bools are refused although
+    bool subclasses int.
+    """
+    allowed = get_args(hint) or (hint,)
+    if value is None and type(None) in allowed:
+        return
+    kind = allowed[0]
+    accepted = (int, float) if kind is float else kind
+    if isinstance(value, bool) or not isinstance(value, accepted):
+        raise TypeError(f"{name} must be {kind.__name__}, got {value!r}")
+    if kind is float and not math.isfinite(value):
+        raise ValueError(f"{name} must be finite, got {value!r}")
 
 
 @dataclass(frozen=True)

@@ -12,12 +12,15 @@ x-cells (east) and j counts y-cells (north); data row k of a scene file
 covers the y band [k*cell_size, (k+1)*cell_size).  The scene occupies
 [0, nx*cell_size) x [0, ny*cell_size) in world coordinates.
 
-Rendering marches every pixel ray through the grid in lockstep
-(Amanatides-Woo traversal, all rays advance one cell per vectorized
-step).  Ray directions are left unnormalized at ((u-cx)/fx, (v-cy)/fy, 1)
-in the camera frame so the hit parameter t is exactly the planar depth
-stored in the depth image: back-projecting a rendered pixel with its
-stored depth reproduces the surface point that was hit.
+Rendering marches every pixel ray through the grid with the
+Amanatides-Woo traversal, vectorized across rays: each step advances
+every ray still in flight by one cell, and a ray leaves the working set
+as soon as it hits, leaves the scene, passes the range limit, or can no
+longer come down to any surface.  Ray directions are left unnormalized
+at ((u-cx)/fx, (v-cy)/fy, 1) in the camera frame so the hit parameter t
+is exactly the planar depth stored in the depth image: back-projecting
+a rendered pixel with its stored depth reproduces the surface point
+that was hit.
 """
 
 from __future__ import annotations
@@ -337,6 +340,14 @@ def _slab_interval(o: float, d: np.ndarray, lo: float, hi: float,
     t1[~inside] = -np.inf
 
 
+def _padded(grid: np.ndarray, fill) -> np.ndarray:
+    """Flatten ``grid`` with a one-cell border of ``fill`` on every side."""
+    out = np.full((grid.shape[0] + 2, grid.shape[1] + 2), fill,
+                  dtype=grid.dtype)
+    out[1:-1, 1:-1] = grid
+    return out.ravel()
+
+
 def march_rays(scene: Scene, origin: np.ndarray, dirs: np.ndarray,
                t_limit: float):
     """Trace rays from a common origin through the height field.
@@ -344,6 +355,16 @@ def march_rays(scene: Scene, origin: np.ndarray, dirs: np.ndarray,
     ``dirs`` is (N, 3) and need not be unit length; hit parameters are
     in units of each direction vector, clipped at ``t_limit``.  Returns
     (t_hit, hit_label), both (N,).  Misses carry t_hit = 0 and label 0.
+
+    Every ray that enters the scene walks the grid cell by cell
+    (Amanatides-Woo).  The walk is vectorized across rays and carries
+    only the rays still in flight: their state is packed into one float
+    and one index array, compacted after each step, and a ray drops out
+    once it hits, steps off the grid, passes ``t_limit``, or is not
+    descending and already above the tallest cell.  The canopy tests run
+    only on steps where some live ray is over a cell with positive
+    clearance.  Each ray goes through the same floating-point operations
+    whatever other rays are traced with it.
     """
     dirs = np.asarray(dirs, dtype=np.float64)
     n = dirs.shape[0]
@@ -381,58 +402,78 @@ def march_rays(scene: Scene, origin: np.ndarray, dirs: np.ndarray,
         t_max_y = np.where(ady != 0, te + (next_y - py) / ady, np.inf)
         t_delta_x = np.where(adx != 0, cs / np.abs(adx), np.inf)
         t_delta_y = np.where(ady != 0, cs / np.abs(ady), np.inf)
+        t_g = np.where(adz != 0, -oz / adz, np.inf)
 
-    t_cur = te
-    alive = np.ones(idx.shape[0], dtype=bool)
-    for _ in range(scene.nx + scene.ny + 4):
-        if not alive.any():
-            break
-        inb = (ix >= 0) & (ix < scene.nx) & (iy >= 0) & (iy < scene.ny)
-        alive &= inb
-        jx = np.clip(ix, 0, scene.nx - 1)
-        jy = np.clip(iy, 0, scene.ny - 1)
-        hi = scene.height[jy, jx]
-        lab = scene.label[jy, jx]
-        clr = scene.clearance[jy, jx]
-        canopy = clr > 0
-        lo = np.where(canopy, clr, -np.inf)
+    row = scene.nx + 2
+    height = _padded(scene.height, 0.0)
+    label = _padded(scene.label, 0)
+    canopy_lo = _padded(
+        np.where(scene.clearance > 0, scene.clearance, -np.inf), -np.inf)
+    inside = _padded(np.ones(scene.height.shape, dtype=bool), False)
+    # From the first step on t never decreases, and with it (rounding is
+    # monotone) neither does z along a ray with adz >= 0: once such a ray
+    # is above every cell top, no hit test can fire for it again.
+    z_cap = np.where(adz >= 0, scene.height.max(), np.inf)
 
-        t1 = np.minimum(np.minimum(t_max_x, t_max_y), tx)
-        z0 = oz + adz * t_cur
-        inf = np.inf
-        with np.errstate(divide="ignore", invalid="ignore"):
-            # entered the cell already inside the occupied band
-            c1 = np.where((z0 >= lo) & (z0 <= hi), t_cur, inf)
-            # descending onto the top of the band
-            t_top = np.where(adz != 0, (hi - oz) / adz, inf)
+    rays = np.stack([te, oz + adz * te, t_max_x, t_max_y, t_delta_x,
+                     t_delta_y, adz, tx, tx - _MISS_EPS, z_cap, t_g])
+    # flat cell index, its change per x and per y step, output row
+    cells = np.stack([(iy + 1) * row + ix + 1, step_x, step_y * row, idx])
+    inf = np.inf
+    with np.errstate(divide="ignore", invalid="ignore"):
+        for _ in range(scene.nx + scene.ny + 4):
+            if not rays.shape[1]:
+                break
+            (t_cur, z0, t_max_x, t_max_y, t_delta_x, t_delta_y, adz, tx,
+             tx_eps, z_cap, t_g) = rays
+            cell, step_x, step_y, rows = cells
+            hi = height[cell]
+            pick_x = t_max_x <= t_max_y
+            t_next = np.where(pick_x, t_max_x, t_max_y)
+            t1 = np.minimum(t_next, tx)
+            lo = canopy_lo[cell]
+            canopy = lo > -inf
+            # descending onto the top of the band (the sign tests mask
+            # the quotients of rays with adz == 0)
+            t_top = (hi - oz) / adz
             c2 = np.where((adz < 0) & (z0 > hi) & (t_top <= t1), t_top, inf)
-            # ascending into the underside of an elevated band
-            t_bot = np.where(adz != 0, (lo - oz) / adz, inf)
-            c3 = np.where(canopy & (adz > 0) & (z0 < lo) & (t_bot <= t1),
-                          t_bot, inf)
-            # descending to the ground beneath an elevated band
-            t_g = np.where(adz != 0, -oz / adz, inf)
-            c4 = np.where(canopy & (adz < 0) & (t_g >= t_cur) & (t_g <= t1),
-                          t_g, inf)
-        cand = np.stack([c1, c2, c3, c4])
-        best = np.argmin(cand, axis=0)
-        t_best = cand[best, np.arange(cand.shape[1])]
-        hit = alive & np.isfinite(t_best)
-        if hit.any():
-            rows = idx[hit]
-            t_hit[rows] = t_best[hit]
-            hit_label[rows] = np.where(best[hit] == 3, scene.under_label,
-                                       lab[hit])
-            alive &= ~hit
+            under = None
+            if not canopy.any():
+                # entered the cell already inside the occupied band
+                c1 = np.where(z0 <= hi, t_cur, inf)
+                t_best = np.minimum(c1, c2)
+            else:
+                c1 = np.where((z0 >= lo) & (z0 <= hi), t_cur, inf)
+                # ascending into the underside of an elevated band
+                t_bot = (lo - oz) / adz
+                c3 = np.where(canopy & (adz > 0) & (z0 < lo) & (t_bot <= t1),
+                              t_bot, inf)
+                # descending to the ground beneath an elevated band
+                c4 = np.where(canopy & (adz < 0) & (t_g >= t_cur)
+                              & (t_g <= t1), t_g, inf)
+                t_best = np.minimum(np.minimum(c1, c2), c3)
+                # strict, as argmin over (c1, c2, c3, c4) keeps the first
+                under = c4 < t_best
+                t_best = np.minimum(t_best, c4)
+            hit = np.isfinite(t_best)
+            if hit.any():
+                hit_rows = rows[hit]
+                t_hit[hit_rows] = t_best[hit]
+                labels = label[cell[hit]]
+                if under is not None:
+                    labels = np.where(under[hit], scene.under_label, labels)
+                hit_label[hit_rows] = labels
 
-        pick_x = t_max_x <= t_max_y
-        t_next = np.where(pick_x, t_max_x, t_max_y)
-        ix = np.where(alive & pick_x, ix + step_x, ix)
-        iy = np.where(alive & ~pick_x, iy + step_y, iy)
-        t_max_x = np.where(alive & pick_x, t_max_x + t_delta_x, t_max_x)
-        t_max_y = np.where(alive & ~pick_x, t_max_y + t_delta_y, t_max_y)
-        t_cur = np.where(alive, t_next, t_cur)
-        alive &= t_cur < tx - _MISS_EPS
+            np.add(t_max_x, t_delta_x, out=t_max_x, where=pick_x)
+            np.add(t_max_y, t_delta_y, out=t_max_y, where=~pick_x)
+            cell += np.where(pick_x, step_x, step_y)
+            t_cur[:] = t_next
+            np.multiply(adz, t_next, out=z0)
+            z0 += oz
+            keep = (t_next < tx_eps) & inside[cell] & ~(hit | (z0 > z_cap))
+            if not keep.all():
+                rays = rays[:, keep]
+                cells = cells[:, keep]
 
     return t_hit, hit_label
 

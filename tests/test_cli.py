@@ -157,6 +157,46 @@ class TestRun:
         assert code == EXIT_USAGE
         assert "unknown config keys: banana" in capsys.readouterr().err
 
+    def test_template_config_key_takes_effect(self, data_dir, capsys):
+        config = data_dir / "loop.json"
+        config.write_text(json.dumps({
+            "template": "custom prompt: {instruction}", "max_actions": 1}),
+            encoding="utf-8")
+        out = data_dir / "out"
+        code = run_cli("run", "--scene", str(data_dir / "riverside.scene"),
+                       "--episodes",
+                       str(data_dir / "eps" / "ep_a.episode"),
+                       "--backend", "random", "--config", str(config),
+                       "--out", str(out))
+        assert code == EXIT_OK
+        prompt = (out / "ep_a" / "step_0" / "prompt.txt").read_text(
+            encoding="utf-8")
+        assert prompt.startswith(
+            "custom prompt: head to the road, then stop.")
+
+    @pytest.mark.parametrize("values", [
+        {"matrix_size": 20.0},
+        {"requery_limit": True},
+        {"max_unparseable": True},
+        {"tau": "0.8"},
+        {"max_actions": 3.0},
+        {"mount": None},
+        {"template": 7},
+        {"r": float("inf")},
+    ])
+    def test_mistyped_config_value_is_a_usage_error(self, data_dir, capsys,
+                                                    values):
+        config = data_dir / "loop.json"
+        config.write_text(json.dumps(values), encoding="utf-8")
+        code = run_cli("run", "--scene", str(data_dir / "riverside.scene"),
+                       "--episodes",
+                       str(data_dir / "eps" / "ep_a.episode"),
+                       "--backend", "random", "--config", str(config))
+        err = capsys.readouterr().err
+        assert code == EXIT_USAGE
+        assert err.startswith("configuration error: ")
+        assert "Traceback" not in err
+
     def test_non_object_config_is_a_usage_error(self, data_dir, capsys):
         config = data_dir / "loop.json"
         config.write_text("[1, 2]", encoding="utf-8")

@@ -269,6 +269,9 @@ class TestLoopConfig:
         with pytest.raises(ValueError):
             config.validate()
 
+    def test_float_fields_take_integers(self):
+        LoopConfig(r=10, voxel_size=5, max_range=100, margin=0).validate()
+
     def test_block_is_cells_per_matrix_entry(self):
         assert LoopConfig(r=5.0, voxel_size=5.0).block == 1
         assert LoopConfig(r=10.0, voxel_size=5.0).block == 2
