@@ -18,13 +18,11 @@ from __future__ import annotations
 import argparse
 import glob
 import json
-import math
-import os
 import sys
 from dataclasses import fields
 
-from . import evaluation, planner, world
-from .errors import SceneParseError, StmrNavError
+from . import evaluation, mapping, perception, planner, world
+from .errors import SceneParseError, StmrNavError, TemplateError
 
 EXIT_OK = 0
 EXIT_DATA = 1
@@ -69,34 +67,6 @@ def _expand_episode_paths(patterns) -> list[str]:
     return unique
 
 
-def _backend_factory(spec: str, seed: int):
-    """Resolve a backend spec into a per-episode factory."""
-    kind, _, arg = spec.partition(":")
-    if kind == "scripted":
-        if not arg:
-            raise ValueError("scripted backend needs a path")
-        if os.path.isdir(arg):
-            def factory(episode, index):
-                path = os.path.join(arg, f"{episode.episode_id}.txt")
-                return planner.ScriptedBackend.from_file(path)
-            return factory
-        shared = planner.ScriptedBackend.from_file(arg)
-
-        def factory(episode, index):
-            return planner.ScriptedBackend(shared._responses)
-        return factory
-    if kind == "random":
-        return lambda episode, index: planner.RandomBackend(seed + index)
-    if kind == "echo":
-        return lambda episode, index: planner.EchoBackend()
-    if kind == "remote":
-        if not arg:
-            raise ValueError("remote backend needs an endpoint URL")
-        backend = planner.RemoteBackend(endpoint=arg)
-        return lambda episode, index: backend
-    raise ValueError(f"unknown backend spec {spec!r}")
-
-
 def _perceptor_factory(spec: str, scene: world.Scene):
     if spec == "oracle":
         return None
@@ -107,11 +77,11 @@ def _perceptor_factory(spec: str, scene: world.Scene):
                 "degraded perceptor spec is degraded:<drop-rate>:<seed>")
         rate = float(parts[1])
         base_seed = int(parts[2])
-        from .perception import DegradedOraclePerceptor
 
         def factory(episode, index):
-            return DegradedOraclePerceptor(scene.legend, drop_rate=rate,
-                                           seed=base_seed + index)
+            return perception.DegradedOraclePerceptor(
+                scene.legend, drop_rate=rate, seed=base_seed + index)
+        factory(None, 0)  # the constructor rejects a bad rate here
         return factory
     raise ValueError(f"unknown perceptor spec {spec!r}")
 
@@ -128,7 +98,7 @@ def cmd_run(args) -> int:
         })
         if args.parallel < 1:
             raise ValueError("--parallel must be at least 1")
-    except (ValueError, TypeError) as exc:
+    except (ValueError, TypeError, TemplateError) as exc:
         print(f"configuration error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except OSError as exc:
@@ -147,11 +117,14 @@ def cmd_run(args) -> int:
         return EXIT_USAGE
 
     try:
-        backend_factory = _backend_factory(args.backend, args.seed)
+        backend_factory = planner.backend_factory(args.backend, args.seed)
         perceptor_factory = _perceptor_factory(args.perceptor, scene)
     except ValueError as exc:
         print(f"configuration error: {exc}", file=sys.stderr)
         return EXIT_USAGE
+    except OSError as exc:
+        print(f"data error: {exc}", file=sys.stderr)
+        return EXIT_DATA
 
     try:
         results = evaluation.run_suite(
@@ -173,109 +146,62 @@ def cmd_run(args) -> int:
 # dump-map
 # ---------------------------------------------------------------------------
 
-def _parse_snapshot(text: str):
-    cell_size = None
-    legend = {}
-    origin = (0, 0)
-    size = (0, 0)
-    labels: list[list[int]] = []
-    trajectory: list[list[int]] = []
-    section = None
-    for line in text.splitlines():
-        line = line.strip()
-        if not line:
-            continue
-        parts = line.split()
-        if parts[0] == "cell_size":
-            cell_size = float(parts[1])
-        elif parts[0] == "legend":
-            legend[int(parts[1])] = parts[2]
-        elif parts[0] == "origin":
-            origin = (int(parts[1]), int(parts[2]))
-        elif parts[0] == "size":
-            size = (int(parts[1]), int(parts[2]))
-        elif parts[0] == "labels":
-            section = labels
-        elif parts[0] == "trajectory":
-            section = trajectory
-        elif section is not None:
-            section.append([int(v) for v in parts])
-    return cell_size, legend, origin, size, labels, trajectory
+def _map_rows(tdmap, show) -> list[list[str]]:
+    """``show(i, j)`` for each cell within the map's bounds, one list per
+    row, northernmost row first."""
+    i0, j0, i1, j1 = tdmap.bounds() or (0, 0, -1, -1)
+    return [[show(i, j) for i in range(i0, i1 + 1)]
+            for j in range(j1, j0 - 1, -1)]
 
 
-def _ascii_map(cell_size, origin, size, labels, trajectory, uav_xy) -> str:
-    ncols, nrows = size
-    if not nrows:
+def _ascii_map(tdmap, uav_xy) -> str:
+    uav_cell = tdmap.cell_of(*uav_xy)
+
+    def char(i, j):
+        lab = tdmap.label_at(i, j)
+        if (i, j) == uav_cell:
+            return "@"
+        if (i, j) in tdmap.trajectory:
+            return "*"
+        return "." if lab == 0 else str(lab) if 0 < lab <= 9 else "+"
+    rows = _map_rows(tdmap, char)
+    if not rows:
         return "(map empty)\n"
-    ui = math.floor(uav_xy[0] / cell_size) - origin[0]
-    uj = math.floor(uav_xy[1] / cell_size) - origin[1]
-    out = []
-    for r in range(nrows):       # row 0 of the snapshot is northernmost
-        j = nrows - 1 - r
-        row_chars = []
-        for i in range(ncols):
-            if (i, j) == (ui, uj):
-                row_chars.append("@")
-            elif trajectory and trajectory[r][i]:
-                row_chars.append("*")
-            else:
-                lab = labels[r][i]
-                if lab == 0:
-                    row_chars.append(".")
-                elif 0 < lab <= 9:
-                    row_chars.append(str(lab))
-                else:
-                    row_chars.append("+")
-        out.append("".join(row_chars))
-    return "\n".join(out) + "\n"
+    return "".join("".join(row) + "\n" for row in rows)
 
 
-def _pgm_map(legend, size, labels, trajectory) -> str:
-    ncols, nrows = size
+def _pgm_map(tdmap, legend) -> str:
     max_id = max((lid for lid in legend if lid > 0), default=1)
-    lines = ["P2", f"{ncols} {nrows}", "255"]
-    for r in range(nrows):
-        row = []
-        for i in range(ncols):
-            if trajectory and trajectory[r][i]:
-                row.append(255)
-            else:
-                lab = labels[r][i]
-                row.append(0 if lab <= 0 else (lab * 200) // max_id + 40)
-        lines.append(" ".join(str(v) for v in row))
-    return "\n".join(lines) + "\n"
+
+    def gray(i, j):
+        lab = tdmap.label_at(i, j)
+        if (i, j) in tdmap.trajectory:
+            return "255"
+        return str(0 if lab <= 0 else (lab * 200) // max_id + 40)
+    rows = _map_rows(tdmap, gray)
+    lines = ["P2", f"{len(rows[0]) if rows else 0} {len(rows)}", "255"]
+    return "\n".join(lines + [" ".join(row) for row in rows]) + "\n"
 
 
 def cmd_dump_map(args) -> int:
-    step_dir = os.path.join(args.trace, f"step_{args.step}")
-    if not os.path.isdir(step_dir):
-        print(f"no step {args.step} under {args.trace}", file=sys.stderr)
-        return EXIT_USAGE
     try:
-        with open(os.path.join(step_dir, "matrix.txt"), encoding="utf-8") as f:
-            matrix_text = f.read()
-        with open(os.path.join(step_dir, "map.txt"), encoding="utf-8") as f:
-            snapshot = f.read()
-        with open(os.path.join(step_dir, "pose.txt"), encoding="utf-8") as f:
-            pose_vals = [float(v) for v in f.read().split()]
-    except OSError as exc:
+        trace = evaluation.read_step_trace(args.trace, args.step)
+        if trace is None:
+            print(f"no step {args.step} under {args.trace}", file=sys.stderr)
+            return EXIT_USAGE
+        tdmap, legend = mapping.parse_snapshot(trace.map_text)
+    except (OSError, ValueError) as exc:
         print(f"cannot read trace: {exc}", file=sys.stderr)
         return EXIT_DATA
 
-    cell_size, legend, origin, size, labels, trajectory = _parse_snapshot(
-        snapshot)
-    if cell_size is None:
-        print("map snapshot is missing its cell_size", file=sys.stderr)
-        return EXIT_DATA
     if args.format == "pgm":
-        sys.stdout.write(_pgm_map(legend, size, labels, trajectory))
+        sys.stdout.write(_pgm_map(tdmap, legend))
     else:
-        sys.stdout.write(matrix_text)
-        if not matrix_text.endswith("\n"):
+        sys.stdout.write(trace.matrix_text)
+        if not trace.matrix_text.endswith("\n"):
             sys.stdout.write("\n")
         sys.stdout.write("\n")
-        sys.stdout.write(_ascii_map(cell_size, origin, size, labels,
-                                    trajectory, pose_vals[:2]))
+        sys.stdout.write(_ascii_map(tdmap, (trace.pose.x, trace.pose.y)))
     return EXIT_OK
 
 

@@ -35,10 +35,6 @@ class SceneParseError(StmrNavError):
         super().__init__(prefix + message)
 
 
-class OutOfBoundsError(StmrNavError):
-    """Pose or index outside the scene extent."""
-
-
 class LabelError(StmrNavError):
     """Semantic label id not registered in the legend."""
 

@@ -29,6 +29,7 @@ from typing import get_args, get_type_hints
 
 import numpy as np
 
+from . import planner
 from .errors import ActionParseError, StmrNavError, UnparseableResponseError
 from .geometry import (
     DOWNWARD_MOUNT,
@@ -136,6 +137,10 @@ class LoopConfig:
             raise ValueError("success_radius must be positive")
         if self.max_actions is not None and self.max_actions < 1:
             raise ValueError("max_actions must be positive")
+        if self.template is not None:
+            # TemplateError for an unknown placeholder before any episode;
+            # via the module, as the loop's ``build_prompt`` is a seam.
+            planner.build_prompt("", "", "", "", "", template=self.template)
 
     @property
     def block(self) -> int:
@@ -497,7 +502,9 @@ def run_episode(scene: Scene, episode: Episode, backend,
 # ---------------------------------------------------------------------------
 
 def write_episode_trace(result: EpisodeResult, out_root) -> None:
-    """Write the per-step trace directory tree for one episode."""
+    """Write ``<out_root>/<episode_id>/step_<index>/`` for every step:
+    prompt, response, matrix, map, pose (x y z pitch roll yaw) and any
+    notes, each as ``<name>.txt``.  ``read_step_trace`` reads one back."""
     base = os.path.join(out_root, result.episode_id)
     os.makedirs(base, exist_ok=True)
     for trace in result.step_traces:
@@ -518,6 +525,29 @@ def write_episode_trace(result: EpisodeResult, out_root) -> None:
             with open(os.path.join(step_dir, name), "w",
                       encoding="utf-8", newline="") as f:
                 f.write(content)
+
+
+def read_step_trace(episode_dir, step: int) -> StepTrace | None:
+    """Read back one step written by ``write_episode_trace``, or None if
+    there is no such step.  Notes come back one per line; the action,
+    not stored on its own, as None.  Raises OSError for a missing file
+    and ValueError for a malformed pose."""
+    step_dir = os.path.join(episode_dir, f"step_{step}")
+    if not os.path.isdir(step_dir):
+        return None
+    text = {}
+    for name in ("prompt", "response", "matrix", "map", "pose", "notes"):
+        path = os.path.join(step_dir, f"{name}.txt")
+        if name != "notes" or os.path.exists(path):
+            with open(path, encoding="utf-8") as f:
+                text[name] = f.read()
+    values = text["pose"].split()
+    if len(values) != 6:
+        raise ValueError(f"pose.txt holds {len(values)} values, not 6")
+    return StepTrace(
+        index=step, pose=UavPose(*map(float, values)), prompt=text["prompt"],
+        response=text["response"], action=None, matrix_text=text["matrix"],
+        map_text=text["map"], notes=tuple(text.get("notes", "").splitlines()))
 
 
 def run_suite(scene: Scene, episodes, backend_factory,

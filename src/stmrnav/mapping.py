@@ -102,6 +102,14 @@ class TopDownMap:
     def label_at(self, i: int, j: int) -> int:
         return self.labels.get((i, j), 0)
 
+    def bounds(self) -> tuple[int, int, int, int] | None:
+        """(i0, j0, i1, j1) of the labeled and visited cells; None if none."""
+        cells = set(self.labels) | set(self.trajectory)
+        if not cells:
+            return None
+        return (min(i for i, _ in cells), min(j for _, j in cells),
+                max(i for i, _ in cells), max(j for _, j in cells))
+
 
 def project_top_down(grid: VoxelGrid, subgoal_labels=frozenset()) -> TopDownMap:
     """Flatten the voxel grid column by column.
@@ -145,23 +153,21 @@ def map_snapshot(tdmap: TopDownMap, legend) -> str:
 
     The label grid prints one integer per cell with row 0 the
     northernmost explored row; the trajectory grid prints 1 for visited
-    cells.  Meant for the CLI renderer and for golden-file comparison.
+    cells.  Meant for the CLI renderer and for golden-file comparison;
+    ``parse_snapshot`` reads it back.
     """
     lines = [f"cell_size {tdmap.cell_size:g}", "legend 0 unexplored"]
     for lid, name in sorted(legend.items()):
         lines.append(f"legend {lid} {name}")
     lines.append("legend -1 trajectory")
 
-    cells = set(tdmap.labels) | set(tdmap.trajectory)
-    if not cells:
+    bounds = tdmap.bounds()
+    if bounds is None:
         lines.append("origin 0 0")
         lines.append("size 0 0")
         return "\n".join(lines) + "\n"
 
-    i0 = min(i for i, _ in cells)
-    i1 = max(i for i, _ in cells)
-    j0 = min(j for _, j in cells)
-    j1 = max(j for _, j in cells)
+    i0, j0, i1, j1 = bounds
     lines.append(f"origin {i0} {j0}")
     lines.append(f"size {i1 - i0 + 1} {j1 - j0 + 1}")
 
@@ -175,3 +181,47 @@ def map_snapshot(tdmap: TopDownMap, legend) -> str:
                for i in range(i0, i1 + 1)]
         lines.append(" ".join(row))
     return "\n".join(lines) + "\n"
+
+
+def parse_snapshot(text: str) -> tuple[TopDownMap, dict[int, str]]:
+    """Inverse of ``map_snapshot``: the map's nonzero label cells and
+    visited cells, and the legend without the 0 and -1 entries the
+    snapshot adds.  The cell size comes back as printed (six significant
+    digits) and the world origin, which the format lacks, as (0, 0).
+    Raises ValueError on a malformed snapshot."""
+    header = {}
+    legend = {}
+    grids: dict[str, list[list[int]]] = {"labels": [], "trajectory": []}
+    rows = None
+    for line in text.splitlines():
+        parts = line.split()
+        if parts in (["labels"], ["trajectory"]):
+            rows = grids[parts[0]]
+        elif parts and rows is not None:
+            rows.append([int(v) for v in parts])
+        elif parts[:1] == ["legend"] and len(parts) == 3:
+            legend[int(parts[1])] = parts[2]
+        elif parts:
+            header[parts[0]] = parts[1:]
+    try:
+        (cell_size,) = map(float, header["cell_size"])
+        i0, j0 = map(int, header["origin"])
+        ncols, nrows = map(int, header["size"])
+    except KeyError as exc:
+        raise ValueError(f"map snapshot has no {exc.args[0]} line") from None
+    if not cell_size > 0:
+        raise ValueError(f"map snapshot cell_size {cell_size} is invalid")
+    for name, grid in grids.items():
+        if len(grid) != nrows or any(len(r) != ncols for r in grid):
+            raise ValueError(f"map snapshot {name} grid is not "
+                             f"{ncols} x {nrows}")
+
+    tdmap = TopDownMap(cell_size=cell_size)
+    for r in range(nrows):       # row 0 is northernmost
+        for c in range(ncols):
+            cell = (i0 + c, j0 + nrows - 1 - r)
+            if grids["labels"][r][c]:
+                tdmap.labels[cell] = grids["labels"][r][c]
+            if grids["trajectory"][r][c]:
+                tdmap.trajectory.add(cell)
+    return tdmap, {lid: name for lid, name in legend.items() if lid > 0}

@@ -323,23 +323,6 @@ class DegradedOraclePerceptor:
         return out
 
 
-class RemotePerceptor:
-    """Placeholder for a detector/segmenter service; not wired here.
-
-    The interface is the same as the oracle's: perceive(depth, semantic
-    or rgb view) -> mask list.  Wiring an actual open-vocabulary model
-    is out of scope for this package.
-    """
-
-    def __init__(self, endpoint: str):
-        self.endpoint = endpoint
-
-    def perceive(self, depth, view):
-        raise PerceptionBackendError(
-            "remote perceptor is an interface stub; point it at a real "
-            "segmentation service in your own deployment")
-
-
 def perceive(backend, depth: np.ndarray, semantic: np.ndarray):
     """Run a perceptor backend over one rendered view."""
     return backend.perceive(depth, semantic)

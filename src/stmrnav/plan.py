@@ -202,8 +202,7 @@ def _labels_near_center(matrix: StmrMatrix) -> frozenset[int]:
     return frozenset(int(v) for v in block.ravel() if v > 0)
 
 
-def update_plan_state(plan: PlanState, matrix: StmrMatrix,
-                      pose=None) -> PlanState:
+def update_plan_state(plan: PlanState, matrix: StmrMatrix) -> PlanState:
     """Advance the ledger against the current matrix (pure; returns new).
 
     The IN_PROCESS sub-goal completes when one of its landmark ids
@@ -212,7 +211,6 @@ def update_plan_state(plan: PlanState, matrix: StmrMatrix,
     update is idempotent for a fixed matrix.  Texts are never rewritten
     and the completed count never decreases.
     """
-    del pose  # proximity is judged on the matrix, which is pose-centered
     near = _labels_near_center(matrix)
     subgoals = list(plan.subgoals)
     out = PlanState(subgoals=subgoals, warnings=list(plan.warnings))

@@ -25,6 +25,7 @@ import re
 import time
 from dataclasses import dataclass, field
 from importlib import resources
+from urllib.parse import urlsplit
 
 import requests
 
@@ -352,15 +353,20 @@ class RemoteBackend:
     Sends ``{"model": ..., "messages": [{"role": "user", ...}]}`` to the
     configured endpoint; ``temperature`` is omitted unless set so the
     service defaults apply.  The bearer token is read from the
-    environment at call time.  Timeouts, connection failures, 429 and
-    5xx responses are retried with exponential backoff; other 4xx fail
-    immediately.
+    environment at call time.  Any failed request (timeout, refused or
+    dropped connection, ...), 429 and 5xx responses are retried with
+    exponential backoff; other 4xx fail immediately.  The endpoint must
+    be an ``http://`` or ``https://`` URL.
     """
 
     def __init__(self, endpoint: str, model: str = "gpt-4o",
                  temperature: float | None = None, timeout: float = 60.0,
                  max_retries: int = 3, backoff: float = 0.5,
                  token_env: str = "STMRNAV_API_TOKEN", sleep=time.sleep):
+        url = urlsplit(endpoint)
+        if url.scheme not in ("http", "https") or not url.netloc:
+            raise ValueError(
+                f"remote endpoint must be an http(s) URL, got {endpoint!r}")
         self.endpoint = endpoint
         self.model = model
         self.temperature = temperature
@@ -389,7 +395,7 @@ class RemoteBackend:
             try:
                 resp = requests.post(self.endpoint, json=payload,
                                      headers=headers, timeout=self.timeout)
-            except (requests.Timeout, requests.ConnectionError) as exc:
+            except requests.RequestException as exc:
                 last_error = str(exc)
                 continue
             if resp.status_code == 429 or resp.status_code >= 500:
@@ -408,28 +414,34 @@ class RemoteBackend:
                     f"malformed completion payload: {exc}",
                     raw=resp.text[:2000]) from exc
         raise BackendUnavailableError(
-            f"no response after {self.max_retries} attempts",
+            f"no response after {self.max_retries} attempts: {last_error}",
             attempts=self.max_retries, last_error=last_error)
 
 
-def make_backend(spec: str, seed: int = 0):
-    """Build a backend from a CLI-style spec string.
+def backend_factory(spec: str, seed: int = 0):
+    """Parse a backend spec into ``factory(episode, index) -> backend``.
 
-    Accepted forms: ``echo``, ``random``, ``scripted:<path>``,
-    ``remote:<endpoint url>``.
+    Specs: ``echo``; ``random`` (``RandomBackend(seed + index)``);
+    ``scripted:<file-or-dir>`` (a fresh ``ScriptedBackend`` per episode,
+    from the file or ``<dir>/<episode_id>.txt``); ``remote:<http(s)
+    url>`` (one ``RemoteBackend`` shared by all episodes).  Raises
+    ValueError for a bad spec, OSError for an unreadable script file.
     """
     kind, _, arg = spec.partition(":")
     if kind == "echo":
-        return EchoBackend()
+        return lambda episode, index: EchoBackend()
     if kind == "random":
-        return RandomBackend(seed=seed)
+        return lambda episode, index: RandomBackend(seed + index)
     if kind == "scripted":
         if not arg:
             raise ValueError("scripted backend needs a path, "
                              "e.g. scripted:responses.txt")
-        return ScriptedBackend.from_file(arg)
+        if os.path.isdir(arg):
+            return lambda episode, index: ScriptedBackend.from_file(
+                os.path.join(arg, f"{episode.episode_id}.txt"))
+        shared = ScriptedBackend.from_file(arg)
+        return lambda episode, index: ScriptedBackend(shared._responses)
     if kind == "remote":
-        if not arg:
-            raise ValueError("remote backend needs an endpoint URL")
-        return RemoteBackend(endpoint=arg)
+        backend = RemoteBackend(endpoint=arg)
+        return lambda episode, index: backend
     raise ValueError(f"unknown backend spec {spec!r}")

@@ -329,7 +329,7 @@ def _slab_interval(o: float, d: np.ndarray, lo: float, hi: float,
                    t0: np.ndarray, t1: np.ndarray):
     """Intersect [t0, t1] with the slab lo <= o + d*t <= hi, in place."""
     nonzero = d != 0
-    with np.errstate(divide="ignore", invalid="ignore"):
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         ta = np.where(nonzero, (lo - o) / d, -np.inf)
         tb = np.where(nonzero, (hi - o) / d, np.inf)
     lo_t = np.minimum(ta, tb)
@@ -395,7 +395,7 @@ def march_rays(scene: Scene, origin: np.ndarray, dirs: np.ndarray,
 
     step_x = np.where(adx > 0, 1, -1).astype(np.int64)
     step_y = np.where(ady > 0, 1, -1).astype(np.int64)
-    with np.errstate(divide="ignore", invalid="ignore"):
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         next_x = np.where(adx > 0, (ix + 1) * cs, ix * cs)
         next_y = np.where(ady > 0, (iy + 1) * cs, iy * cs)
         t_max_x = np.where(adx != 0, te + (next_x - px) / adx, np.inf)
@@ -420,7 +420,7 @@ def march_rays(scene: Scene, origin: np.ndarray, dirs: np.ndarray,
     # flat cell index, its change per x and per y step, output row
     cells = np.stack([(iy + 1) * row + ix + 1, step_x, step_y * row, idx])
     inf = np.inf
-    with np.errstate(divide="ignore", invalid="ignore"):
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         for _ in range(scene.nx + scene.ny + 4):
             if not rays.shape[1]:
                 break

@@ -10,6 +10,7 @@ executable as well.
 
 import json
 import os
+import re
 import shutil
 import subprocess
 import sys
@@ -120,6 +121,29 @@ class TestRun:
         assert code == EXIT_USAGE
         assert "configuration error" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("option, spec, code, prefix", [
+        ("--backend", "scripted:{data}/no/such.txt", EXIT_DATA,
+         "data error: "),
+        ("--backend", "remote:notaurl", EXIT_USAGE, "configuration error: "),
+        ("--backend", "remote:ftp://localhost/v1", EXIT_USAGE,
+         "configuration error: "),
+        ("--perceptor", "degraded:1.5:0", EXIT_USAGE,
+         "configuration error: "),
+        ("--perceptor", "degraded:nan:0", EXIT_USAGE,
+         "configuration error: "),
+    ])
+    def test_bad_spec_fails_before_the_run(self, data_dir, capsys, option,
+                                           spec, code, prefix):
+        out = data_dir / "out"
+        got = run_cli("run", "--scene", str(data_dir / "riverside.scene"),
+                      "--episodes", str(data_dir / "eps" / "ep_a.episode"),
+                      option, spec.format(data=data_dir), "--out", str(out))
+        err = capsys.readouterr().err
+        assert got == code
+        assert err.startswith(prefix)
+        assert err.count("\n") == 1 and "Traceback" not in err
+        assert not out.exists()
+
     def test_out_of_range_tau_is_a_usage_error(self, data_dir, capsys):
         code = run_cli("run", "--scene", str(data_dir / "riverside.scene"),
                        "--episodes",
@@ -173,6 +197,22 @@ class TestRun:
             encoding="utf-8")
         assert prompt.startswith(
             "custom prompt: head to the road, then stop.")
+
+    def test_unknown_template_placeholder_is_a_usage_error(self, data_dir,
+                                                          capsys):
+        config = data_dir / "loop.json"
+        config.write_text(json.dumps({
+            "template": "go {nowhere}", "max_actions": 1}), encoding="utf-8")
+        out = data_dir / "out"
+        code = run_cli("run", "--scene", str(data_dir / "riverside.scene"),
+                       "--episodes",
+                       str(data_dir / "eps" / "ep_a.episode"),
+                       "--backend", "echo", "--config", str(config),
+                       "--out", str(out))
+        assert code == EXIT_USAGE
+        assert capsys.readouterr().err == (
+            "configuration error: bad template placeholder: 'nowhere'\n")
+        assert not out.exists()
 
     @pytest.mark.parametrize("values", [
         {"matrix_size": 20.0},
@@ -315,6 +355,28 @@ class TestDumpMap:
                        "0")
         assert code == EXIT_DATA
         assert "cannot read trace" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("name, damage", [
+        ("map.txt", lambda t: re.sub(r"^size .*$", "size x 3", t,
+                                     flags=re.M)),
+        ("map.txt", lambda t: t.rstrip("\n").rsplit("\n", 1)[0] + "\n"),
+        ("map.txt", lambda t: t.replace("cell_size", "cellsize")),
+        ("pose.txt", lambda t: "abc\n"),
+        ("pose.txt", lambda t: "1.0\n"),
+    ], ids=["map-size-not-a-number", "map-row-missing", "map-no-cell-size",
+            "pose-not-a-number", "pose-one-value"])
+    @pytest.mark.parametrize("fmt", ["ascii", "pgm"])
+    def test_damaged_step_file_is_a_data_error(self, trace_dir, capsys,
+                                               name, damage, fmt):
+        path = trace_dir / "step_0" / name
+        path.write_text(damage(path.read_text(encoding="utf-8")),
+                        encoding="utf-8")
+        code = run_cli("dump-map", "--trace", str(trace_dir), "--step",
+                       "0", "--format", fmt)
+        err = capsys.readouterr().err
+        assert code == EXIT_DATA
+        assert err.startswith("cannot read trace: ")
+        assert err.count("\n") == 1
 
 
 REPO_ROOT = Path(__file__).resolve().parent.parent

@@ -8,12 +8,14 @@ scene whose only obstacle is a wall of buildings, so every collision
 and stop is predictable by hand.
 """
 
+import dataclasses
 import math
 
 import numpy as np
 import pytest
+import requests
 
-from stmrnav.errors import PerceptionBackendError
+from stmrnav.errors import PerceptionBackendError, TemplateError
 from stmrnav.evaluation import (
     EpisodeResult,
     LoopConfig,
@@ -24,6 +26,7 @@ from stmrnav.evaluation import (
     navigation_error,
     oracle_success,
     point_segment_distance,
+    read_step_trace,
     results_csv_text,
     run_episode,
     run_suite,
@@ -31,7 +34,12 @@ from stmrnav.evaluation import (
     write_episode_trace,
 )
 from stmrnav.geometry import DOWNWARD_MOUNT, FORWARD_MOUNT, UavPose
-from stmrnav.planner import STOP_RESPONSE, Action, ScriptedBackend
+from stmrnav.planner import (
+    STOP_RESPONSE,
+    Action,
+    RemoteBackend,
+    ScriptedBackend,
+)
 from stmrnav.world import parse_episode, parse_scene
 
 SCENE_TEXT = """\
@@ -272,6 +280,11 @@ class TestLoopConfig:
     def test_float_fields_take_integers(self):
         LoopConfig(r=10, voxel_size=5, max_range=100, margin=0).validate()
 
+    def test_template_placeholders_are_checked(self):
+        LoopConfig(template="go {instruction} on {size}x{size}").validate()
+        with pytest.raises(TemplateError, match="nowhere"):
+            LoopConfig(template="go {nowhere}").validate()
+
     def test_block_is_cells_per_matrix_entry(self):
         assert LoopConfig(r=5.0, voxel_size=5.0).block == 1
         assert LoopConfig(r=10.0, voxel_size=5.0).block == 2
@@ -442,6 +455,31 @@ class TestWriteEpisodeTrace:
         assert "collision: blocked by building" in notes
 
 
+class TestReadStepTrace:
+    def test_reads_back_what_was_written(self, wall_scene, ep_east,
+                                         tmp_path):
+        backend = ScriptedBackend(
+            ["Action: (straight), (0 degrees), (10 meters)",
+             STOP_RESPONSE])
+        result = run_episode(wall_scene, ep_east, backend)
+        write_episode_trace(result, tmp_path)
+        for trace in result.step_traces:
+            back = read_step_trace(tmp_path / "ep_east", trace.index)
+            assert back == dataclasses.replace(trace, action=None)
+        assert read_step_trace(tmp_path / "ep_east", 2) is None
+
+    @pytest.mark.parametrize("pose", ["abc\n", "1.0 2.0 3.0\n",
+                                      "1 2 3 0 0 nan\n"])
+    def test_malformed_pose_is_a_value_error(self, tmp_path, pose):
+        step = tmp_path / "step_0"
+        step.mkdir()
+        for name in ("prompt", "response", "matrix", "map"):
+            (step / f"{name}.txt").write_text("", encoding="utf-8")
+        (step / "pose.txt").write_text(pose, encoding="utf-8")
+        with pytest.raises(ValueError):
+            read_step_trace(tmp_path, 0)
+
+
 class TestRunSuite:
     @staticmethod
     def _episodes():
@@ -491,6 +529,42 @@ class TestRunSuite:
         for tag in ("a", "b", "c"):
             assert (tmp_path / f"ep_{tag}" / "step_0" /
                     "prompt.txt").is_file()
+
+    def test_bad_template_stops_the_suite_before_any_episode(
+            self, wall_scene):
+        calls = []
+
+        def factory(episode, index):
+            calls.append(index)
+            return ScriptedBackend([STOP_RESPONSE])
+
+        with pytest.raises(TemplateError):
+            run_suite(wall_scene, self._episodes(), factory,
+                      config=LoopConfig(template="go {nowhere}"))
+        assert calls == []
+
+    def test_dropped_connection_fails_only_its_episode(
+            self, wall_scene, tmp_path, monkeypatch):
+        def post(*args, **kwargs):
+            raise requests.exceptions.ChunkedEncodingError("dropped")
+
+        monkeypatch.setattr(requests, "post", post)
+
+        def factory(episode, index):
+            if index == 1:
+                return RemoteBackend("http://localhost:1/v1",
+                                     sleep=lambda s: None)
+            return ScriptedBackend([STOP_RESPONSE])
+
+        results = run_suite(wall_scene, self._episodes(), factory,
+                            out_dir=tmp_path)
+        assert [r.stopped_by for r in results] == [
+            "stop-action", "error", "stop-action"]
+        notes = (tmp_path / "ep_b" / "step_0" / "notes.txt").read_text(
+            encoding="utf-8")
+        assert "error: no response after 3 attempts: dropped" in notes
+        assert (tmp_path / "results.csv").read_text(encoding="utf-8") == \
+            results_csv_text(results)
 
     def test_parallel_must_be_positive(self, wall_scene):
         with pytest.raises(ValueError):

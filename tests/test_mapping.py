@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from stmrnav.errors import LabelError
 from stmrnav.geometry import SemanticPointCloud, UavPose
@@ -11,6 +13,7 @@ from stmrnav.mapping import (
     insert_points,
     map_snapshot,
     mark_waypoint,
+    parse_snapshot,
     project_top_down,
 )
 
@@ -164,3 +167,58 @@ class TestMapSnapshot:
     def test_empty_map_prints_zero_extent(self):
         text = map_snapshot(TopDownMap(cell_size=2.5), {1: "road"})
         assert "origin 0 0\nsize 0 0\n" in text
+
+
+CELL = st.tuples(st.integers(-30, 30), st.integers(-30, 30))
+LEGENDS = st.dictionaries(
+    st.integers(1, 40),
+    st.text("abcdefghijklmnopqrstuvwxyz_-", min_size=1, max_size=12),
+    max_size=8)
+
+
+@st.composite
+def maps_and_legends(draw):
+    legend = draw(LEGENDS)
+    label = (st.sampled_from(sorted(legend)) if legend
+             else st.integers(1, 40))
+    tdmap = TopDownMap(
+        cell_size=draw(st.sampled_from([0.5, 1.0, 2.5, 5.0, 10.0])),
+        labels=draw(st.dictionaries(CELL, label, max_size=40)),
+        trajectory=draw(st.sets(CELL, max_size=20)))
+    return tdmap, legend
+
+
+class TestParseSnapshot:
+    @given(maps_and_legends())
+    @settings(max_examples=200, deadline=None)
+    def test_inverts_map_snapshot(self, map_and_legend):
+        tdmap, legend = map_and_legend
+        back, back_legend = parse_snapshot(map_snapshot(tdmap, legend))
+        assert back_legend == legend
+        assert back.labels == tdmap.labels
+        assert back.trajectory == tdmap.trajectory
+        assert back.cell_size == tdmap.cell_size
+        assert back.bounds() == tdmap.bounds()
+
+    def test_empty_map_round_trips(self):
+        back, legend = parse_snapshot(map_snapshot(TopDownMap(2.5), {}))
+        assert (back.labels, back.trajectory, legend) == ({}, set(), {})
+        assert back.bounds() is None
+
+    @pytest.mark.parametrize("edit", [
+        lambda t: t.replace("cell_size 5\n", ""),
+        lambda t: t.replace("cell_size 5", "cell_size 0"),
+        lambda t: t.replace("size 2 2", "size 2 x"),
+        lambda t: t.replace("size 2 2", "size 3 2"),
+        lambda t: t.replace("origin 0 0", "origin 0"),
+        lambda t: t.replace("labels\n0 2\n", "labels\n0 2 7\n"),
+        lambda t: t.replace("1 0\n0 0\n", "1 0\n"),
+        lambda t: t.replace("legend 1 road", "legend one road"),
+    ])
+    def test_malformed_snapshot_is_a_value_error(self, edit):
+        text = map_snapshot(TopDownMap(cell_size=5.0,
+                                       labels={(0, 0): 1, (1, 1): 2},
+                                       trajectory={(0, 1)}),
+                            {1: "road", 2: "building"})
+        with pytest.raises(ValueError):
+            parse_snapshot(edit(text))

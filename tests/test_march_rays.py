@@ -7,9 +7,11 @@ bytes: depth, labels, and the sign of every zero.
 """
 
 import math
+import warnings
 from unittest import mock
 
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -84,3 +86,32 @@ def test_shallow_descent_from_above_the_tallest_cell_still_hits():
     got = world.march_rays(scene, origin, dirs, 20.0)
     assert_same_bytes(got, march_rays_reference(scene, origin, dirs, 20.0))
     assert got[0][0] == 9.5 and got[1][0] == 2
+
+
+@pytest.mark.parametrize("z", [1.0, 20.0])
+def test_subnormal_components_trace_without_overflow_warnings(z):
+    # Dividing by a component below about 1e-308 overflows to inf, the
+    # intended slab, step or hit distance, and must not warn.  From 1 m
+    # the rays pass under the canopy cell; from 20 m they are above all.
+    scene = Scene(cell_size=5.0, legend={1: "road", 2: "building",
+                                         3: "tree"},
+                  height=np.array([[0.0, 0.0, 0.0, 0.0],
+                                   [0.0, 0.0, 10.0, 0.0],
+                                   [0.0, 12.0, 0.0, 0.0]]),
+                  label=np.array([[1, 1, 1, 1], [1, 1, 3, 1], [1, 2, 1, 1]]),
+                  clearance=np.array([[0.0, 0.0, 0.0, 0.0],
+                                      [0.0, 0.0, 4.0, 0.0],
+                                      [0.0, 0.0, 0.0, 0.0]]),
+                  under_label=1)
+    origin = np.array([2.5, 7.5, z])
+    tiny = 1e-310
+    dirs = np.array([[1.0, 0.0, tiny], [1.0, 0.0, -tiny],
+                     [1.0, tiny, -0.05], [tiny, 1.0, -0.1],
+                     [-tiny, 1.0, -tiny], [1.0, -tiny, tiny],
+                     [tiny, tiny, -1.0]])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        got = world.march_rays(scene, origin, dirs, 60.0)
+    with np.errstate(all="ignore"):
+        want = march_rays_reference(scene, origin, dirs, 60.0)
+    assert_same_bytes(got, want)

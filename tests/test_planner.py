@@ -7,9 +7,11 @@ tested over the wire rather than against mocks of the client library.
 
 import json
 import threading
+from types import SimpleNamespace
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 
 import pytest
+import requests
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -33,8 +35,8 @@ from stmrnav.planner import (
     ScriptedBackend,
     build_prompt,
     format_history,
+    backend_factory,
     load_template,
-    make_backend,
     parse_action,
     parse_response,
     query,
@@ -264,19 +266,51 @@ class TestLocalBackends:
             action = parse_response(ra).action
             assert action.verb in VERBS
 
-    def test_make_backend_dispatch(self, tmp_path):
+    def test_backend_factory_dispatch(self, tmp_path):
         script = tmp_path / "s.txt"
         script.write_text("only\n", encoding="utf-8")
-        assert isinstance(make_backend("echo"), EchoBackend)
-        assert isinstance(make_backend("random", seed=1), RandomBackend)
-        assert isinstance(make_backend(f"scripted:{script}"),
-                          ScriptedBackend)
-        assert isinstance(make_backend("remote:http://localhost:1/v1"),
+        episode = SimpleNamespace(episode_id="ep")
+
+        def build(spec, seed=0, index=0):
+            return backend_factory(spec, seed)(episode, index)
+
+        assert isinstance(build("echo"), EchoBackend)
+        assert isinstance(build("random", seed=1), RandomBackend)
+        assert isinstance(build(f"scripted:{script}"), ScriptedBackend)
+        assert isinstance(build("remote:http://localhost:1/v1"),
                           RemoteBackend)
         with pytest.raises(ValueError):
-            make_backend("scripted:")
+            backend_factory("scripted:", 0)
         with pytest.raises(ValueError):
-            make_backend("telepathy")
+            backend_factory("telepathy", 0)
+
+    def test_backend_factory_builds_one_backend_per_episode(self, tmp_path):
+        script = tmp_path / "s.txt"
+        script.write_text("one\n===\ntwo\n", encoding="utf-8")
+        scripts = tmp_path / "scripts"
+        scripts.mkdir()
+        (scripts / "ep_a.txt").write_text("from a\n", encoding="utf-8")
+        ep_a = SimpleNamespace(episode_id="ep_a")
+
+        shared_file = backend_factory(f"scripted:{script}", 0)
+        first, second = shared_file(ep_a, 0), shared_file(ep_a, 1)
+        assert first.complete("p") == "one"
+        assert second.complete("p") == "one"     # its own script position
+        per_episode = backend_factory(f"scripted:{scripts}", 0)
+        assert per_episode(ep_a, 0).complete("p") == "from a"
+
+        random_factory = backend_factory("random", 5)
+        assert (random_factory(ep_a, 2).complete("p")
+                == RandomBackend(7).complete("p"))
+        remote = backend_factory("remote:https://localhost:1/v1", 0)
+        assert remote(ep_a, 0) is remote(ep_a, 1)
+
+    @pytest.mark.parametrize("spec", [
+        "remote:", "remote:notaurl", "remote:ftp://localhost/v1",
+        "remote:http://"])
+    def test_remote_spec_needs_an_http_url(self, spec):
+        with pytest.raises(ValueError, match="http"):
+            backend_factory(spec, 0)
 
 
 # ---------------------------------------------------------------------------
@@ -402,6 +436,30 @@ class TestRemoteBackend:
         with pytest.raises(BackendUnavailableError) as err:
             backend.complete("p")
         assert err.value.attempts == 2
+
+    def test_any_request_failure_is_retried(self, monkeypatch):
+        # neither a Timeout nor a ConnectionError, but a failed request
+        failures = [requests.exceptions.ChunkedEncodingError("dropped"),
+                    requests.exceptions.ContentDecodingError("garbled")]
+
+        def post(*args, **kwargs):
+            if failures:
+                raise failures.pop(0)
+            ok = requests.Response()
+            ok.status_code = 200
+            ok._content = completion_body("back").encode("utf-8")
+            return ok
+
+        monkeypatch.setattr(requests, "post", post)
+        backend = RemoteBackend(endpoint="http://localhost:1/v1",
+                                max_retries=3, sleep=lambda s: None)
+        assert backend.complete("p") == "back"
+        failures.extend(
+            [requests.exceptions.ChunkedEncodingError("dropped")] * 3)
+        with pytest.raises(BackendUnavailableError) as err:
+            backend.complete("p")
+        assert err.value.attempts == 3
+        assert err.value.last_error == "dropped"
 
     def test_query_sends_the_rendered_prompt(self):
         bundle = build_prompt("go", "[]", "map", "plan", "legend")
