@@ -9,8 +9,9 @@ Three subcommands:
 * ``validate`` schema-checks scene and episode files and cross-checks
   episodes against the scene bounds.
 
-Exit codes: 0 success, 1 data error (unreadable or invalid files),
-2 usage error (bad flags or configuration values).
+Exit codes: 0 success, 1 data error (unreadable or invalid files) or an
+episode that raised a fault in the program, 2 usage error (bad flags or
+configuration values).
 """
 
 from __future__ import annotations
@@ -19,6 +20,7 @@ import argparse
 import glob
 import json
 import sys
+import traceback
 from dataclasses import fields
 
 from . import evaluation, mapping, perception, planner, world
@@ -133,6 +135,14 @@ def cmd_run(args) -> int:
             out_dir=args.out)
     except (StmrNavError, OSError) as exc:
         print(f"run failed: {exc}", file=sys.stderr)
+        return EXIT_DATA
+    except Exception:
+        # A fault in the program.  run_suite has written the finished
+        # episodes and noted which episode raised; show where it broke.
+        traceback.print_exc()
+        if args.out:
+            print(f"finished episodes written to {args.out}",
+                  file=sys.stderr)
         return EXIT_DATA
 
     summary = evaluation.aggregate(results)

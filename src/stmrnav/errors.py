@@ -75,7 +75,8 @@ class UnparseableResponseError(StmrNavError):
 
 
 class BackendUnavailableError(StmrNavError):
-    """LLM backend failed after exhausting its retry budget.
+    """LLM backend failed: its retry budget ran out, or the request
+    failed in a way no retry can fix.
 
     ``attempts`` counts requests made; ``last_error`` keeps the final
     transport or protocol failure.

@@ -559,6 +559,13 @@ def run_suite(scene: Scene, episodes, backend_factory,
     (backends hold per-episode state such as script position);
     ``perceptor_factory`` likewise, defaulting to the oracle.  Results
     come back in input order regardless of scheduling.
+
+    An exception other than ``StmrNavError`` (which ``run_episode``
+    already turns into ``stopped_by=error``) is a fault in the program:
+    the other episodes still run, the finished ones are written to
+    ``out_dir`` in input order (``summary.txt`` only if one finished),
+    and then the first such exception in input order is re-raised, with
+    a note naming its episode.
     """
     config = config if config is not None else LoopConfig()
     config.validate()
@@ -568,17 +575,23 @@ def run_suite(scene: Scene, episodes, backend_factory,
 
     def _one(pair):
         index, episode = pair
-        backend = backend_factory(episode, index)
-        perceptor = (perceptor_factory(episode, index)
-                     if perceptor_factory else None)
-        return run_episode(scene, episode, backend, perceptor=perceptor,
-                           config=config)
+        try:
+            backend = backend_factory(episode, index)
+            perceptor = (perceptor_factory(episode, index)
+                         if perceptor_factory else None)
+            return run_episode(scene, episode, backend, perceptor=perceptor,
+                               config=config), None
+        except Exception as exc:        # kept and re-raised below
+            return None, exc
 
     if parallel == 1 or len(episodes) <= 1:
-        results = [_one(p) for p in enumerate(episodes)]
+        outcomes = [_one(p) for p in enumerate(episodes)]
     else:
         with ThreadPoolExecutor(max_workers=parallel) as pool:
-            results = list(pool.map(_one, enumerate(episodes)))
+            outcomes = list(pool.map(_one, enumerate(episodes)))
+    results = [result for result, exc in outcomes if exc is None]
+    failures = [(episode, exc) for episode, (_, exc)
+                in zip(episodes, outcomes) if exc is not None]
 
     if out_dir is not None:
         os.makedirs(out_dir, exist_ok=True)
@@ -587,7 +600,15 @@ def run_suite(scene: Scene, episodes, backend_factory,
         with open(os.path.join(out_dir, "results.csv"), "w",
                   encoding="utf-8", newline="") as f:
             write_results_csv(results, f)
-        with open(os.path.join(out_dir, "summary.txt"), "w",
-                  encoding="utf-8", newline="") as f:
-            f.write(format_summary(aggregate(results)))
+        if results or not failures:     # no summary of nothing finished
+            with open(os.path.join(out_dir, "summary.txt"), "w",
+                      encoding="utf-8", newline="") as f:
+                f.write(format_summary(aggregate(results)))
+    if failures:
+        episode, exc = failures[0]
+        if hasattr(exc, "add_note"):    # Python 3.11+
+            exc.add_note(f"raised in episode {episode.episode_id}; "
+                         f"{len(results)} of {len(episodes)} episodes "
+                         f"finished")
+        raise exc
     return results

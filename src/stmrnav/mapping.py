@@ -61,10 +61,16 @@ class VoxelGrid:
 def insert_points(grid: VoxelGrid, cloud: SemanticPointCloud) -> VoxelGrid:
     """Accumulate a labeled point cloud into the grid (mutates and returns).
 
-    Order-insensitive: any permutation of the same points produces the
-    same histograms.
+    Labels must be positive integers (an integer dtype) and, when the
+    grid has ``known_labels``, registered.  Order-insensitive: any
+    permutation of the same points produces the same histograms.  The
+    points are grouped by (voxel, label) with one sort, so each histogram
+    entry is updated once per distinct pair, not once per point.
     """
     labels = np.asarray(cloud.labels)
+    if labels.dtype.kind not in "iu":
+        raise LabelError(
+            f"point labels must be integers, not dtype {labels.dtype}")
     if labels.size:
         bad = labels <= 0
         if bad.any():
@@ -76,9 +82,18 @@ def insert_points(grid: VoxelGrid, cloud: SemanticPointCloud) -> VoxelGrid:
                 raise LabelError(
                     f"label {int(labels[unknown][0])} not registered")
     ijk = np.floor(cloud.xyz / grid.voxel_size).astype(np.int64)
-    for (i, j, k), lab in zip(map(tuple, ijk), labels.tolist()):
+    keys = (*ijk.T, labels)
+    order = np.lexsort(keys[::-1])
+    keys = [key[order] for key in keys]
+    # first row of each run of equal (i, j, k, label) rows
+    first = np.ones(labels.size, dtype=bool)
+    first[1:] = np.logical_or.reduce([key[1:] != key[:-1] for key in keys])
+    starts = np.flatnonzero(first)
+    runs = np.diff(np.append(starts, labels.size))
+    for i, j, k, lab, n in zip(*(key[starts].tolist() for key in keys),
+                               runs.tolist()):
         hist = grid.counts.setdefault((i, j, k), {})
-        hist[lab] = hist.get(lab, 0) + 1
+        hist[lab] = hist.get(lab, 0) + n
     return grid
 
 

@@ -347,16 +347,26 @@ class RandomBackend:
                 f"({distance} meters)")
 
 
+# Transport faults a later attempt can get past; every other
+# RequestException (bad header, bad URL, redirect loop, ...) fails the same
+# way each time.
+_RETRYABLE = (requests.Timeout, requests.ConnectionError,
+              requests.exceptions.ChunkedEncodingError,
+              requests.exceptions.ContentDecodingError)
+
+
 class RemoteBackend:
     """Chat-completions-style HTTP backend with bounded retry.
 
     Sends ``{"model": ..., "messages": [{"role": "user", ...}]}`` to the
     configured endpoint; ``temperature`` is omitted unless set so the
     service defaults apply.  The bearer token is read from the
-    environment at call time.  Any failed request (timeout, refused or
-    dropped connection, ...), 429 and 5xx responses are retried with
-    exponential backoff; other 4xx fail immediately.  The endpoint must
-    be an ``http://`` or ``https://`` URL.
+    environment at call time.  Only faults a retry can fix are retried,
+    with exponential backoff: timeouts, refused or dropped connections,
+    broken or undecodable response bodies, 429 and 5xx responses.  Any
+    other failed request (a malformed header or URL, too many redirects,
+    ...) and other 4xx responses raise ``BackendUnavailableError`` at
+    once.  The endpoint must be an ``http://`` or ``https://`` URL.
     """
 
     def __init__(self, endpoint: str, model: str = "gpt-4o",
@@ -395,9 +405,13 @@ class RemoteBackend:
             try:
                 resp = requests.post(self.endpoint, json=payload,
                                      headers=headers, timeout=self.timeout)
-            except requests.RequestException as exc:
+            except _RETRYABLE as exc:
                 last_error = str(exc)
                 continue
+            except requests.RequestException as exc:
+                raise BackendUnavailableError(
+                    f"request failed: {exc}", attempts=attempt + 1,
+                    last_error=str(exc)) from exc
             if resp.status_code == 429 or resp.status_code >= 500:
                 last_error = f"HTTP {resp.status_code}"
                 continue

@@ -129,28 +129,31 @@ def pool_to_matrix(window: LocalWindow, pose: UavPose, legend,
     orientation token and holds 0.
     """
     s = window.labels.shape[0]
-    if s % size:
+    if not s or s % size:
         raise ShapeMismatchError(
-            f"window side {s} is not divisible by matrix size {size}")
+            f"window side {s} is not a positive multiple of matrix size "
+            f"{size}")
     block = s // size
-    subgoals = frozenset(subgoal_labels)
-
-    cells = np.zeros((size, size), dtype=np.int64)
-    for r in range(size):
-        for c in range(size):
-            chunk = window.labels[r * block:(r + 1) * block,
-                                  c * block:(c + 1) * block]
-            visited = window.trajectory[r * block:(r + 1) * block,
-                                        c * block:(c + 1) * block].any()
-            explored = chunk[chunk > 0]
-            if explored.size:
-                ids, counts = np.unique(explored, return_counts=True)
-                winner = int(ids[np.argmax(counts)])
-            else:
-                winner = 0
-            if visited and winner not in subgoals:
-                winner = -1
-            cells[r, c] = winner
+    # one row of block*block source cells per matrix cell, row-major
+    blocks = (window.labels.reshape(size, block, size, block)
+              .swapaxes(1, 2).reshape(size * size, block * block))
+    # Compact the ids so the count table is as wide as the distinct ids,
+    # not the largest one.  ids is sorted and argmax keeps the first
+    # maximum, so ties go to the lower id; with the unexplored column
+    # zeroed, an all-unexplored block (whose row is all zero) gets ids[0],
+    # which is 0.
+    ids, inverse = np.unique(np.maximum(blocks, 0).ravel(),
+                             return_inverse=True)
+    counts = np.bincount(
+        np.repeat(np.arange(size * size) * ids.size, block * block)
+        + inverse, minlength=size * size * ids.size
+    ).reshape(size * size, ids.size)
+    counts[:, ids == 0] = 0
+    winners = ids[counts.argmax(axis=1)].reshape(size, size)
+    visited = window.trajectory.reshape(size, block, size, block).any(
+        axis=(1, 3))
+    cells = np.where(visited & ~np.isin(winners, list(subgoal_labels)),
+                     -1, winners).astype(np.int64, copy=False)
     center = size // 2
     cells[center, center] = 0
     metric = window.cell_size * block if cell_metric is None else cell_metric

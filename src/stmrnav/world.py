@@ -27,6 +27,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -68,6 +69,18 @@ class Scene:
 
     def label_name(self, label_id: int) -> str:
         return self.legend.get(label_id, f"label {label_id}")
+
+    @cached_property
+    def _march_grids(self):
+        """What ``march_rays`` reads of the scene, built on first use: the
+        height, label, canopy-underside and inside grids, flattened with a
+        one-cell border, and the tallest cell top."""
+        return (_padded(self.height, 0.0),
+                _padded(self.label, 0),
+                _padded(np.where(self.clearance > 0, self.clearance,
+                                 -np.inf), -np.inf),
+                _padded(np.ones(self.height.shape, dtype=bool), False),
+                self.height.max())
 
 
 @dataclass(frozen=True)
@@ -405,15 +418,11 @@ def march_rays(scene: Scene, origin: np.ndarray, dirs: np.ndarray,
         t_g = np.where(adz != 0, -oz / adz, np.inf)
 
     row = scene.nx + 2
-    height = _padded(scene.height, 0.0)
-    label = _padded(scene.label, 0)
-    canopy_lo = _padded(
-        np.where(scene.clearance > 0, scene.clearance, -np.inf), -np.inf)
-    inside = _padded(np.ones(scene.height.shape, dtype=bool), False)
+    height, label, canopy_lo, inside, top = scene._march_grids
     # From the first step on t never decreases, and with it (rounding is
     # monotone) neither does z along a ray with adz >= 0: once such a ray
     # is above every cell top, no hit test can fire for it again.
-    z_cap = np.where(adz >= 0, scene.height.max(), np.inf)
+    z_cap = np.where(adz >= 0, top, np.inf)
 
     rays = np.stack([te, oz + adz * te, t_max_x, t_max_y, t_delta_x,
                      t_delta_y, adz, tx, tx - _MISS_EPS, z_cap, t_g])

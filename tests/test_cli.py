@@ -23,6 +23,7 @@ try:
 except ModuleNotFoundError:  # Python 3.10
     import tomli as tomllib
 
+from stmrnav import evaluation
 from stmrnav.cli import EXIT_DATA, EXIT_OK, EXIT_USAGE, main
 
 SCENE_TEXT = """\
@@ -99,6 +100,30 @@ class TestRun:
         assert (out / "summary.txt").is_file()
         assert (out / "ep_a" / "step_0" / "prompt.txt").is_file()
         assert (out / "ep_b" / "step_0" / "matrix.txt").is_file()
+
+    def test_crashing_episode_exits_1_and_names_it(self, data_dir, capsys,
+                                                   monkeypatch):
+        real_query = evaluation.query
+        calls = []
+
+        def query(backend, bundle):
+            calls.append(backend)
+            if calls[0] is not backend:
+                raise RuntimeError("bug in a stage")
+            return real_query(backend, bundle)
+
+        monkeypatch.setattr(evaluation, "query", query)
+        out = data_dir / "out"
+        code = run_cli("run", "--scene", str(data_dir / "riverside.scene"),
+                       "--episodes", str(data_dir / "eps" / "*.episode"),
+                       "--backend", "echo", "--out", str(out))
+        err = capsys.readouterr().err
+        assert code == EXIT_DATA
+        assert "RuntimeError: bug in a stage" in err
+        assert "raised in episode ep_b; 1 of 2 episodes finished" in err
+        assert f"finished episodes written to {out}" in err
+        assert sorted(p.name for p in out.iterdir()) == [
+            "ep_a", "results.csv", "summary.txt"]
 
     def test_missing_scene_is_a_data_error(self, data_dir, capsys):
         code = run_cli("run", "--scene", str(data_dir / "nope.scene"),

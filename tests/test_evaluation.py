@@ -15,6 +15,7 @@ import numpy as np
 import pytest
 import requests
 
+from stmrnav import evaluation
 from stmrnav.errors import PerceptionBackendError, TemplateError
 from stmrnav.evaluation import (
     EpisodeResult,
@@ -565,6 +566,48 @@ class TestRunSuite:
         assert "error: no response after 3 attempts: dropped" in notes
         assert (tmp_path / "results.csv").read_text(encoding="utf-8") == \
             results_csv_text(results)
+
+    @pytest.mark.parametrize("parallel", [1, 2])
+    def test_crashing_episode_keeps_the_finished_ones(
+            self, wall_scene, tmp_path, monkeypatch, parallel):
+        doomed = ScriptedBackend([STOP_RESPONSE])
+        real_query = evaluation.query
+
+        def query(backend, bundle):
+            if backend is doomed:
+                raise RuntimeError("bug in a stage")
+            return real_query(backend, bundle)
+
+        monkeypatch.setattr(evaluation, "query", query)
+
+        def factory(episode, index):
+            return doomed if index == 1 else ScriptedBackend([STOP_RESPONSE])
+
+        with pytest.raises(RuntimeError, match="bug in a stage") as err:
+            run_suite(wall_scene, self._episodes(), factory,
+                      parallel=parallel, out_dir=tmp_path)
+        assert "raised in episode ep_b; 2 of 3 episodes finished" in \
+            err.value.__notes__
+        finished = run_suite(wall_scene, [self._episodes()[i] for i in (0, 2)],
+                             lambda e, i: ScriptedBackend([STOP_RESPONSE]))
+        assert (tmp_path / "results.csv").read_text(encoding="utf-8") == \
+            results_csv_text(finished)
+        assert (tmp_path / "summary.txt").read_text(encoding="utf-8") == \
+            format_summary(aggregate(finished))
+        assert sorted(p.name for p in tmp_path.iterdir()) == [
+            "ep_a", "ep_c", "results.csv", "summary.txt"]
+
+    def test_first_crash_in_input_order_is_raised(self, wall_scene,
+                                                  tmp_path):
+        def factory(episode, index):
+            raise (KeyError if index == 0 else RuntimeError)(index)
+
+        with pytest.raises(KeyError):
+            run_suite(wall_scene, self._episodes(), factory, parallel=2,
+                      out_dir=tmp_path)
+        assert (tmp_path / "results.csv").read_text(encoding="utf-8") == \
+            "episode_id,ne_m,success,oracle_success,steps,stopped_by\n"
+        assert not (tmp_path / "summary.txt").exists()
 
     def test_parallel_must_be_positive(self, wall_scene):
         with pytest.raises(ValueError):

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from stmrnav.errors import LabelError
 from stmrnav.geometry import SemanticPointCloud, UavPose
@@ -16,6 +17,7 @@ from stmrnav.mapping import (
     parse_snapshot,
     project_top_down,
 )
+from reference_mapping import insert_points_reference
 
 
 def cloud_of(points, labels) -> SemanticPointCloud:
@@ -70,6 +72,69 @@ class TestVoxelGrid:
     def test_voxel_size_must_be_positive(self):
         with pytest.raises(ValueError):
             VoxelGrid(voxel_size=0.0)
+
+    @pytest.mark.parametrize("labels", [
+        np.array([2.5]), np.array([2.0]), np.array([True]),
+        np.array([], dtype=np.float64)])
+    def test_non_integer_labels_are_rejected(self, labels):
+        grid = VoxelGrid(voxel_size=5.0)
+        cloud = SemanticPointCloud(np.ones((labels.size, 3)), labels)
+        with pytest.raises(LabelError, match="must be integers"):
+            insert_points(grid, cloud)
+        assert grid.counts == {}
+
+
+# Points crowd a few voxels on both sides of zero; labels mix small ids
+# (many repeats per voxel) with sparse legend ids up to 10**6.
+COORD = st.floats(-12.0, 12.0, allow_nan=False)
+POINT_LABEL = st.one_of(st.integers(1, 4), st.integers(1, 10**6),
+                        st.sampled_from([10**6, 2**40]))
+
+
+@st.composite
+def clouds(draw, label=POINT_LABEL):
+    n = draw(st.integers(0, 60))
+    xyz = draw(arrays(np.float64, (n, 3), elements=COORD))
+    return SemanticPointCloud(xyz, draw(arrays(np.int64, n, elements=label)))
+
+
+class TestInsertPointsMatchesReference:
+    """The one-sort insert equals the per-point loop it replaced."""
+
+    @given(voxel_size=st.sampled_from([0.5, 1.0, 2.5, 5.0]),
+           batches=st.lists(clouds(), min_size=1, max_size=4),
+           registered=st.booleans())
+    @settings(max_examples=200, deadline=None)
+    def test_equal_histograms_across_inserts(self, voxel_size, batches,
+                                             registered):
+        known = None
+        if registered:
+            known = frozenset(int(v) for c in batches for v in c.labels)
+        grid = VoxelGrid(voxel_size, known_labels=known)
+        ref = VoxelGrid(voxel_size, known_labels=known)
+        for cloud in batches:
+            insert_points(grid, cloud)
+            insert_points_reference(ref, cloud)
+            assert grid.counts == ref.counts
+        for key, hist in grid.counts.items():
+            assert all(type(v) is int for v in key)
+            assert all(type(v) is int for v in (*hist, *hist.values()))
+
+    @given(cloud=clouds(st.integers(-3, 6)),
+           known=st.one_of(st.none(), st.frozensets(st.integers(1, 6))))
+    @settings(max_examples=100, deadline=None)
+    def test_same_label_errors(self, cloud, known):
+        grid = VoxelGrid(5.0, counts={(0, 0, 0): {1: 1}}, known_labels=known)
+        ref = VoxelGrid(5.0, counts={(0, 0, 0): {1: 1}}, known_labels=known)
+        try:
+            insert_points_reference(ref, cloud)
+        except LabelError as exc:
+            with pytest.raises(LabelError) as err:
+                insert_points(grid, cloud)
+            assert str(err.value) == str(exc)
+        else:
+            insert_points(grid, cloud)
+        assert grid.counts == ref.counts
 
 
 def brute_force_top_down(grid: VoxelGrid) -> dict:

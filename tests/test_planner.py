@@ -437,8 +437,8 @@ class TestRemoteBackend:
             backend.complete("p")
         assert err.value.attempts == 2
 
-    def test_any_request_failure_is_retried(self, monkeypatch):
-        # neither a Timeout nor a ConnectionError, but a failed request
+    def test_broken_response_bodies_are_retried(self, monkeypatch):
+        # neither a Timeout nor a ConnectionError, but a transport fault
         failures = [requests.exceptions.ChunkedEncodingError("dropped"),
                     requests.exceptions.ContentDecodingError("garbled")]
 
@@ -460,6 +460,44 @@ class TestRemoteBackend:
             backend.complete("p")
         assert err.value.attempts == 3
         assert err.value.last_error == "dropped"
+
+    @pytest.mark.parametrize("exc", [
+        requests.exceptions.InvalidHeader("bad header value"),
+        requests.exceptions.InvalidURL("bad url"),
+        requests.exceptions.MissingSchema("no scheme"),
+        requests.exceptions.TooManyRedirects("loop"),
+        requests.exceptions.InvalidJSONError("cannot encode"),
+        requests.RequestException("other"),
+    ], ids=lambda exc: type(exc).__name__)
+    def test_non_retryable_failure_makes_one_attempt(self, monkeypatch,
+                                                     exc):
+        calls, sleeps = [], []
+
+        def post(*args, **kwargs):
+            calls.append(kwargs)
+            raise exc
+
+        monkeypatch.setattr(requests, "post", post)
+        backend = RemoteBackend(endpoint="http://localhost:1/v1",
+                                max_retries=3, sleep=sleeps.append)
+        with pytest.raises(BackendUnavailableError) as err:
+            backend.complete("p")
+        assert (len(calls), sleeps) == (1, [])
+        assert err.value.attempts == 1
+        assert err.value.last_error == str(exc)
+        assert err.value.__cause__ is exc
+
+    def test_token_with_a_newline_fails_without_retry(self, monkeypatch):
+        monkeypatch.setenv("STMRNAV_API_TOKEN", "sekrit\nX-Injected: 1")
+        sleeps = []
+        with _ScriptedHttpServer([(200, completion_body("no"))]) as server:
+            backend = RemoteBackend(endpoint=server.endpoint, max_retries=3,
+                                    sleep=sleeps.append)
+            with pytest.raises(BackendUnavailableError) as err:
+                backend.complete("p")
+        assert isinstance(err.value.__cause__,
+                          requests.exceptions.InvalidHeader)
+        assert (err.value.attempts, sleeps, server.requests) == (1, [], [])
 
     def test_query_sends_the_rendered_prompt(self):
         bundle = build_prompt("go", "[]", "map", "plan", "legend")

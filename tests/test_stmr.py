@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from stmrnav.errors import ShapeMismatchError
 from stmrnav.geometry import UavPose
@@ -23,6 +24,7 @@ from stmrnav.stmr import (
     pool_to_matrix,
     serialize_matrix,
 )
+from reference_mapping import pool_to_matrix_reference
 
 LEGEND = {1: "road", 2: "building", 3: "river", 4: "grass"}
 
@@ -172,6 +174,12 @@ class TestPoolToMatrix:
         with pytest.raises(ShapeMismatchError):
             pool_to_matrix(window, UavPose(0, 0, 5), LEGEND, size=4)
 
+    def test_empty_window_is_rejected(self):
+        window = LocalWindow(np.zeros((0, 0), dtype=np.int64),
+                             np.zeros((0, 0), bool), 5.0)
+        with pytest.raises(ShapeMismatchError):
+            pool_to_matrix(window, UavPose(0, 0, 5), LEGEND, size=4)
+
     def test_cell_metric_defaults_to_block_times_cell(self):
         window = random_window(np.random.default_rng(1), 4, 2)
         matrix = pool_to_matrix(window, UavPose(0, 0, 5), LEGEND, size=4)
@@ -294,3 +302,41 @@ class TestEncodeMetric:
         pose = UavPose(0.0, 0.0, 10.0, yaw=0.0)
         text = encode_metric([("road", -7.0, 0.0)], pose)
         assert text == "a road in the back 7 meters away"
+
+
+# Window labels mix unexplored (0, and -1 which also counts as
+# unexplored), a few small ids that tie often, and sparse large ids.
+WINDOW_LABEL = st.one_of(st.sampled_from([0, 0, -1]), st.integers(1, 3),
+                         st.sampled_from([999_983, 10**6, 2**40]))
+
+
+@st.composite
+def pooling_cases(draw):
+    size = draw(st.sampled_from([2, 4, 6]))
+    block = draw(st.integers(1, 4))
+    s = size * block
+    # either whole blocks unexplored or the full mix of labels
+    label = draw(st.sampled_from([st.sampled_from([0, 5]), WINDOW_LABEL]))
+    window = LocalWindow(draw(arrays(np.int64, (s, s), elements=label)),
+                         draw(arrays(bool, (s, s))), 5.0)
+    present = set(window.labels[window.labels > 0].tolist())
+    subgoals = draw(st.frozensets(st.sampled_from(sorted(present | {0, 2, 7})),
+                                  max_size=3))
+    return window, subgoals, size
+
+
+class TestPoolToMatrixMatchesReference:
+    """The one-bincount pooling equals the per-block loop it replaced."""
+
+    @given(case=pooling_cases())
+    @settings(max_examples=300, deadline=None)
+    def test_equal_cells(self, case):
+        window, subgoals, size = case
+        legend = {int(v): f"id{v}" for v in np.unique(window.labels) if v > 0}
+        pose = UavPose(0, 0, 5)
+        got = pool_to_matrix(window, pose, legend, subgoals, size=size)
+        want = pool_to_matrix_reference(window, pose, legend, subgoals,
+                                        size=size)
+        assert got.cells.dtype == want.cells.dtype
+        assert got.cells.tobytes() == want.cells.tobytes()
+        assert got.cell_metric == want.cell_metric
