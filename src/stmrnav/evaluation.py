@@ -295,23 +295,23 @@ def results_csv_text(results) -> str:
 # episode loop
 # ---------------------------------------------------------------------------
 
-def _mark_segment(traj_map: TopDownMap, pose_a: UavPose,
+def _mark_segment(tdmap: TopDownMap, pose_a: UavPose,
                   pose_b: UavPose) -> None:
     """Mark waypoints along the motion so the trail has no gaps."""
     dist = math.hypot(pose_b.x - pose_a.x, pose_b.y - pose_a.y)
-    steps = max(1, math.ceil(dist / (traj_map.cell_size / 2.0)))
+    steps = max(1, math.ceil(dist / (tdmap.cell_size / 2.0)))
     for s in range(1, steps + 1):
         f = s / steps
-        mark_waypoint(traj_map, UavPose(
+        mark_waypoint(tdmap, UavPose(
             pose_a.x + f * (pose_b.x - pose_a.x),
             pose_a.y + f * (pose_b.y - pose_a.y),
             pose_b.z, pitch=pose_b.pitch, roll=pose_b.roll,
             yaw=pose_b.yaw))
 
 
-def _visited_cells_in_order(order: list, traj_map: TopDownMap,
+def _visited_cells_in_order(order: list, tdmap: TopDownMap,
                             pose: UavPose) -> None:
-    cell = traj_map.cell_of(pose.x, pose.y)
+    cell = tdmap.cell_of(pose.x, pose.y)
     if not order or order[-1] != cell:
         if cell not in order:
             order.append(cell)
@@ -372,10 +372,13 @@ def run_episode(scene: Scene, episode: Episode, backend,
                                  extra_vocab=legend_names)
     grid = VoxelGrid(voxel_size=config.voxel_size,
                      known_labels=frozenset(scene.legend))
-    traj_map = TopDownMap(cell_size=config.voxel_size)
-    mark_waypoint(traj_map, episode.start)
+    # one map for the whole flight: each step re-projects only the
+    # columns its points touched, and waypoints are marked after the
+    # step's snapshot, so a step sees the trail up to its own pose
+    tdmap = TopDownMap(cell_size=config.voxel_size)
+    mark_waypoint(tdmap, episode.start)
     visited_order: list[tuple[int, int]] = []
-    _visited_cells_in_order(visited_order, traj_map, episode.start)
+    _visited_cells_in_order(visited_order, tdmap, episode.start)
 
     pose = episode.start
     trajectory = [pose]
@@ -404,8 +407,7 @@ def run_episode(scene: Scene, episode: Episode, backend,
                 plan = decompose_instruction(episode.instruction,
                                              extra_vocab=legend_names)
             subgoal_ids = current_subgoal_labels(plan, scene.legend)
-            tdmap = project_top_down(grid, subgoal_ids)
-            tdmap.trajectory.update(traj_map.trajectory)
+            project_top_down(grid, subgoal_ids, onto=tdmap)
             window = extract_local_window(tdmap, pose,
                                           size=config.matrix_size,
                                           block=config.block)
@@ -465,8 +467,8 @@ def run_episode(scene: Scene, episode: Episode, backend,
             prev = pose
             pose = outcome.pose
             trajectory.append(pose)
-            _mark_segment(traj_map, prev, pose)
-            _visited_cells_in_order(visited_order, traj_map, pose)
+            _mark_segment(tdmap, prev, pose)
+            _visited_cells_in_order(visited_order, tdmap, pose)
 
             if action.verb == "stop":
                 stopped_by = "stop-action"
@@ -558,7 +560,8 @@ def run_suite(scene: Scene, episodes, backend_factory,
     ``backend_factory(episode, index)`` builds one backend per episode
     (backends hold per-episode state such as script position);
     ``perceptor_factory`` likewise, defaulting to the oracle.  Results
-    come back in input order regardless of scheduling.
+    come back in input order regardless of scheduling.  An empty
+    episode list is a ValueError, raised before ``out_dir`` is created.
 
     An exception other than ``StmrNavError`` (which ``run_episode``
     already turns into ``stopped_by=error``) is a fault in the program:
@@ -572,6 +575,8 @@ def run_suite(scene: Scene, episodes, backend_factory,
     if parallel < 1:
         raise ValueError("parallel must be at least 1")
     episodes = list(episodes)
+    if not episodes:
+        raise ValueError("no episodes to run")
 
     def _one(pair):
         index, episode = pair

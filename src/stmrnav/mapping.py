@@ -9,6 +9,12 @@ column carries a current-sub-goal category, that category is surfaced
 regardless of height (topmost such voxel when several qualify), so the
 thing being navigated to cannot be hidden under trees or overhangs.
 
+The projection is incremental: ``insert_points`` records the voxels it
+changed in ``VoxelGrid.touched``, and ``project_top_down(grid, s,
+onto=tdmap)`` re-reads only those into the map's per-column table of
+voxel categories and relabels only their columns (every column when
+the sub-goal set changes), so one map can live for a whole flight.
+
 Flown-over cells are tracked in a separate trajectory layer; they merge
 into the serialized matrix as -1 only at serialization time, never by
 editing semantic labels.
@@ -16,6 +22,7 @@ editing semantic labels.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass, field
 
@@ -36,13 +43,17 @@ class VoxelGrid:
 
     ``known_labels``, when given, restricts what may be inserted;
     non-positive labels are always rejected since 0 is the unexplored
-    sentinel and -1 the trajectory marker.
+    sentinel and -1 the trajectory marker.  ``touched`` holds the keys
+    ``insert_points`` changed since the last ``project_top_down(...,
+    onto=...)``; voxels written straight into ``counts`` are not in it.
     """
 
     voxel_size: float
     counts: dict[tuple[int, int, int], dict[int, int]] = field(
         default_factory=dict)
     known_labels: frozenset[int] | None = None
+    touched: set[tuple[int, int, int]] = field(
+        default_factory=set, repr=False, compare=False)
 
     def __post_init__(self):
         if not self.voxel_size > 0:
@@ -65,7 +76,8 @@ def insert_points(grid: VoxelGrid, cloud: SemanticPointCloud) -> VoxelGrid:
     grid has ``known_labels``, registered.  Order-insensitive: any
     permutation of the same points produces the same histograms.  The
     points are grouped by (voxel, label) with one sort, so each histogram
-    entry is updated once per distinct pair, not once per point.
+    entry is updated once per distinct pair, not once per point.  The
+    changed voxel keys are added to ``grid.touched``.
     """
     labels = np.asarray(cloud.labels)
     if labels.dtype.kind not in "iu":
@@ -92,8 +104,10 @@ def insert_points(grid: VoxelGrid, cloud: SemanticPointCloud) -> VoxelGrid:
     runs = np.diff(np.append(starts, labels.size))
     for i, j, k, lab, n in zip(*(key[starts].tolist() for key in keys),
                                runs.tolist()):
-        hist = grid.counts.setdefault((i, j, k), {})
+        voxel = (i, j, k)
+        hist = grid.counts.setdefault(voxel, {})
         hist[lab] = hist.get(lab, 0) + n
+        grid.touched.add(voxel)
     return grid
 
 
@@ -102,13 +116,20 @@ class TopDownMap:
     """World-anchored 2D semantic map with a separate trajectory layer.
 
     Cell (i, j) covers x in [i*s, (i+1)*s), y in [j*s, (j+1)*s) relative
-    to ``origin``.  Unlisted cells are unexplored.
+    to ``origin``.  Unlisted cells are unexplored.  ``columns`` and
+    ``subgoals`` are the projection's own state: the ``{k: category}``
+    of each projected column's voxels, and the sub-goal set its labels
+    were computed with.
     """
 
     cell_size: float
     labels: dict[tuple[int, int], int] = field(default_factory=dict)
     trajectory: set[tuple[int, int]] = field(default_factory=set)
     origin: tuple[float, float] = (0.0, 0.0)
+    columns: dict[tuple[int, int], dict[int, int]] = field(
+        default_factory=dict, repr=False, compare=False)
+    subgoals: frozenset[int] | None = field(
+        default=None, repr=False, compare=False)
 
     def cell_of(self, x: float, y: float) -> tuple[int, int]:
         return (math.floor((x - self.origin[0]) / self.cell_size),
@@ -126,31 +147,55 @@ class TopDownMap:
                 max(i for i, _ in cells), max(j for _, j in cells))
 
 
-def project_top_down(grid: VoxelGrid, subgoal_labels=frozenset()) -> TopDownMap:
+def _column_label(column: dict[int, int], subgoals: frozenset) -> int:
+    """The topmost sub-goal category of a column, else its top category."""
+    prioritized = [k for k, cat in column.items() if cat in subgoals]
+    return column[max(prioritized or column)]
+
+
+def project_top_down(grid: VoxelGrid, subgoal_labels=frozenset(),
+                     onto: TopDownMap | None = None) -> TopDownMap:
     """Flatten the voxel grid column by column.
 
     Sub-goal categories anywhere in a column take priority (topmost such
     voxel if several); otherwise the highest occupied voxel's category
     is used.  Unobserved columns stay unexplored.
+
+    With ``onto=None`` every voxel of ``grid.counts`` is read into a
+    fresh map.  Given the map an earlier call returned for this grid,
+    only the voxels in ``grid.touched`` are re-read, only their columns
+    are relabelled (every column when the sub-goal set differs from the
+    last call's), ``grid.touched`` is cleared, and ``onto`` itself is
+    returned.  ``onto`` must have the grid's voxel size as its cell size
+    and origin (0, 0), or ValueError is raised.
     """
     subgoals = frozenset(subgoal_labels)
-    columns: dict[tuple[int, int], tuple[int, int]] = {}
-    prioritized: dict[tuple[int, int], tuple[int, int]] = {}
-    for (i, j, k), hist in grid.counts.items():
-        cat = _argmax_label(hist)
-        key = (i, j)
-        best = columns.get(key)
-        if best is None or k > best[0]:
-            columns[key] = (k, cat)
-        if cat in subgoals:
-            top = prioritized.get(key)
-            if top is None or k > top[0]:
-                prioritized[key] = (k, cat)
-
-    labels = {key: cat for key, (_, cat) in columns.items()}
-    for key, (_, cat) in prioritized.items():
-        labels[key] = cat
-    return TopDownMap(cell_size=grid.voxel_size, labels=labels)
+    if onto is None:
+        tdmap = TopDownMap(cell_size=grid.voxel_size)
+        keys = grid.counts
+    else:
+        if onto.cell_size != grid.voxel_size or tuple(onto.origin) != (0, 0):
+            raise ValueError(
+                f"cannot project a grid of voxel_size {grid.voxel_size} "
+                f"onto a map of cell_size {onto.cell_size} and origin "
+                f"{tuple(onto.origin)}; it needs cell_size "
+                f"{grid.voxel_size} and origin (0, 0)")
+        tdmap = onto
+        keys = grid.touched
+    columns = tdmap.columns
+    dirty = set()
+    for key in keys:
+        i, j, k = key
+        columns.setdefault((i, j), {})[k] = _argmax_label(grid.counts[key])
+        dirty.add((i, j))
+    if onto is not None:
+        grid.touched.clear()
+    if subgoals != tdmap.subgoals:
+        tdmap.subgoals = subgoals
+        dirty = columns
+    for key in dirty:
+        tdmap.labels[key] = _column_label(columns[key], subgoals)
+    return tdmap
 
 
 def mark_waypoint(tdmap: TopDownMap, pose: UavPose) -> TopDownMap:
@@ -176,26 +221,48 @@ def map_snapshot(tdmap: TopDownMap, legend) -> str:
         lines.append(f"legend {lid} {name}")
     lines.append("legend -1 trajectory")
 
-    bounds = tdmap.bounds()
-    if bounds is None:
+    label_cells = _cell_array(tdmap.labels)
+    visited_cells = _cell_array(tdmap.trajectory)
+    cells = np.concatenate([label_cells, visited_cells])
+    if not len(cells):
         lines.append("origin 0 0")
         lines.append("size 0 0")
         return "\n".join(lines) + "\n"
 
-    i0, j0, i1, j1 = bounds
+    i0, j0 = cells.min(axis=0).tolist()
+    i1, j1 = cells.max(axis=0).tolist()
     lines.append(f"origin {i0} {j0}")
     lines.append(f"size {i1 - i0 + 1} {j1 - j0 + 1}")
 
+    # row 0 is the northernmost row, j1
+    shape = (j1 - j0 + 1, i1 - i0 + 1)
     lines.append("labels")
-    for j in range(j1, j0 - 1, -1):
-        row = [str(tdmap.labels.get((i, j), 0)) for i in range(i0, i1 + 1)]
-        lines.append(" ".join(row))
+    lines += _grid_lines(shape, j1 - label_cells[:, 1],
+                         label_cells[:, 0] - i0,
+                         np.fromiter(tdmap.labels.values(), np.int64,
+                                     len(tdmap.labels)))
     lines.append("trajectory")
-    for j in range(j1, j0 - 1, -1):
-        row = ["1" if (i, j) in tdmap.trajectory else "0"
-               for i in range(i0, i1 + 1)]
-        lines.append(" ".join(row))
+    lines += _grid_lines(shape, j1 - visited_cells[:, 1],
+                         visited_cells[:, 0] - i0,
+                         np.ones(len(visited_cells), dtype=np.int64))
     return "\n".join(lines) + "\n"
+
+
+def _cell_array(cells) -> np.ndarray:
+    """The (i, j) cells of a dict or set as an (n, 2) int64 array."""
+    return np.fromiter(itertools.chain.from_iterable(cells), np.int64,
+                       2 * len(cells)).reshape(-1, 2)
+
+
+def _grid_lines(shape, rows, cols, values) -> list[str]:
+    """The lines of a grid holding ``values`` at (rows, cols) and 0
+    elsewhere, space-separated.  Each distinct value is printed once,
+    into a text table indexed through ``np.unique``."""
+    ids, inverse = np.unique(np.append(values, 0), return_inverse=True)
+    index = np.full(shape, inverse[-1])
+    index[rows, cols] = inverse[:-1]
+    text = np.array([str(v) for v in ids.tolist()], dtype=object)
+    return [" ".join(row) for row in text[index].tolist()]
 
 
 def parse_snapshot(text: str) -> tuple[TopDownMap, dict[int, str]]:

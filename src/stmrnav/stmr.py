@@ -14,6 +14,7 @@ runs: a topological place-graph text and a bearing/range clause list.
 
 from __future__ import annotations
 
+import itertools
 import math
 import re
 from dataclasses import dataclass
@@ -63,17 +64,13 @@ def extract_local_window(tdmap: TopDownMap, pose: UavPose,
     i_left = ci - half
     j_top = cj + half
 
-    labels = np.zeros((s, s), dtype=np.int64)
-    trajectory = np.zeros((s, s), dtype=bool)
-    for rr in range(s):
-        j = j_top - rr
-        for cc in range(s):
-            key = (i_left + cc, j)
-            lab = tdmap.labels.get(key)
-            if lab is not None:
-                labels[rr, cc] = lab
-            if key in tdmap.trajectory:
-                trajectory[rr, cc] = True
+    # the window's cells in row-major order, north row first
+    cells = [(i, j) for j in range(j_top, j_top - s, -1)
+             for i in range(i_left, i_left + s)]
+    labels = np.fromiter(map(tdmap.labels.get, cells, itertools.repeat(0)),
+                         np.int64, s * s).reshape(s, s)
+    trajectory = np.fromiter(map(tdmap.trajectory.__contains__, cells),
+                             bool, s * s).reshape(s, s)
     return LocalWindow(labels=labels, trajectory=trajectory,
                        cell_size=tdmap.cell_size)
 
@@ -176,13 +173,11 @@ def serialize_matrix(m: StmrMatrix, pose: UavPose | None = None) -> str:
     ``pose`` when given).
     """
     token = orientation_token(pose) if pose is not None else m.orientation_token
-    lines = [legend_line(m.legend)]
-    c = m.center
-    for r in range(m.size):
-        row = [token if (r == c and col == c) else str(int(m.cells[r, col]))
-               for col in range(m.size)]
-        lines.append(" ".join(row))
-    return "\n".join(lines)
+    rows = [list(map(str, row))
+            for row in m.cells.astype(np.int64, copy=False).tolist()]
+    rows[m.center][m.center] = token
+    return "\n".join([legend_line(m.legend)]
+                     + [" ".join(row) for row in rows])
 
 
 def parse_matrix(text: str, cell_metric: float = 5.0) -> StmrMatrix:

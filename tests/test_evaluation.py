@@ -9,7 +9,10 @@ and stop is predictable by hand.
 """
 
 import dataclasses
+import hashlib
+import json
 import math
+import os
 
 import numpy as np
 import pytest
@@ -42,6 +45,7 @@ from stmrnav.planner import (
     ScriptedBackend,
 )
 from stmrnav.world import parse_episode, parse_scene
+from conftest import scripted_factory
 
 SCENE_TEXT = """\
 stmr-scene v1
@@ -614,3 +618,40 @@ class TestRunSuite:
             run_suite(wall_scene, self._episodes(),
                       lambda e, i: ScriptedBackend([STOP_RESPONSE]),
                       parallel=0)
+
+    def test_empty_episode_list_is_refused_before_any_write(
+            self, wall_scene, tmp_path):
+        out = tmp_path / "out"
+        with pytest.raises(ValueError, match="no episodes to run"):
+            run_suite(wall_scene, [],
+                      lambda e, i: ScriptedBackend([STOP_RESPONSE]),
+                      out_dir=out)
+        assert not out.exists()
+
+
+GOLDEN_DIGESTS = os.path.join(os.path.dirname(__file__), "goldens",
+                              "fixture_suite_digests.json")
+
+
+def _episode_digest(result) -> str:
+    """sha256 of every step's index, prompt, matrix, map and pose."""
+    h = hashlib.sha256()
+    for t in result.step_traces:
+        pose = " ".join(repr(v) for v in (t.pose.x, t.pose.y, t.pose.z,
+                                          t.pose.pitch, t.pose.roll,
+                                          t.pose.yaw))
+        for part in (str(t.index), t.prompt, t.matrix_text, t.map_text,
+                     pose):
+            h.update(part.encode("utf-8"))
+            h.update(b"\0")
+    return h.hexdigest()
+
+
+def test_fixture_suite_matches_the_recorded_digests(scene, episodes):
+    """Every step's prompt, matrix, map snapshot and pose on the bundled
+    suite is byte-for-byte what the recorded goldens hold."""
+    with open(GOLDEN_DIGESTS, encoding="utf-8") as f:
+        want = json.load(f)["episodes"]
+    results = run_suite(scene, episodes, scripted_factory,
+                        config=LoopConfig(mount="forward"))
+    assert {r.episode_id: _episode_digest(r) for r in results} == want

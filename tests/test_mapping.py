@@ -17,7 +17,11 @@ from stmrnav.mapping import (
     parse_snapshot,
     project_top_down,
 )
-from reference_mapping import insert_points_reference
+from reference_mapping import (
+    insert_points_reference,
+    map_snapshot_reference,
+    project_top_down_reference,
+)
 
 
 def cloud_of(points, labels) -> SemanticPointCloud:
@@ -195,6 +199,72 @@ class TestProjectTopDown:
         assert tdmap.label_at(4, 4) == 0
 
 
+# Coordinates span a few voxels each way, so columns hold several voxels,
+# and labels 1-4 repeat enough that a voxel's winner flips between
+# batches.  Sub-goal sets may be empty or name labels (5, 6) never seen.
+FEW_LABELS = st.integers(1, 4)
+SUBGOALS = st.frozensets(st.integers(1, 6), max_size=3)
+
+
+class TestIncrementalProjection:
+    """Projecting onto the flight's map equals a full re-projection."""
+
+    @given(batches=st.lists(st.tuples(clouds(FEW_LABELS), SUBGOALS),
+                            min_size=1, max_size=6))
+    @settings(max_examples=200, deadline=None)
+    def test_equals_the_reference_after_every_batch(self, batches):
+        grid = VoxelGrid(voxel_size=5.0)
+        tdmap = TopDownMap(cell_size=5.0)
+        for cloud, subgoals in batches:
+            insert_points(grid, cloud)
+            got = project_top_down(grid, subgoals, onto=tdmap)
+            assert got is tdmap
+            assert grid.touched == set()
+            assert got.labels == project_top_down_reference(
+                grid, subgoals).labels
+
+    def test_a_flipped_winner_relabels_its_column(self):
+        grid = VoxelGrid(voxel_size=5.0)
+        tdmap = project_top_down(grid)
+        insert_points(grid, cloud_of([[1, 1, 1]], [3]))
+        assert project_top_down(grid, onto=tdmap).labels == {(0, 0): 3}
+        insert_points(grid, cloud_of([[1, 1, 1], [2, 2, 2]], [2, 2]))
+        assert project_top_down(grid, onto=tdmap).labels == {(0, 0): 2}
+
+    def test_insert_records_the_voxels_it_changed(self):
+        grid = VoxelGrid(voxel_size=5.0)
+        insert_points(grid, cloud_of([[1, 1, 1], [2, 2, 2], [1, 1, 7]],
+                                     [1, 2, 1]))
+        assert grid.touched == {(0, 0, 0), (0, 0, 1)}
+        project_top_down(grid)
+        assert grid.touched == {(0, 0, 0), (0, 0, 1)}
+
+    @given(st.dictionaries(
+        st.tuples(*[st.integers(-4, 4)] * 3),
+        st.dictionaries(st.integers(1, 6), st.integers(1, 5), min_size=1,
+                        max_size=3),
+        max_size=40), SUBGOALS)
+    @settings(max_examples=200, deadline=None)
+    def test_full_projection_of_counts_written_directly(self, counts,
+                                                        subgoals):
+        grid = VoxelGrid(voxel_size=5.0, counts=counts)
+        assert project_top_down(grid, subgoals).labels == \
+            project_top_down_reference(grid, subgoals).labels
+
+    @pytest.mark.parametrize("tdmap", [
+        TopDownMap(cell_size=2.5),
+        TopDownMap(cell_size=5.0, origin=(1.0, 0.0)),
+        TopDownMap(cell_size=5.0, origin=(0.0, -5.0)),
+    ])
+    def test_a_map_of_another_cell_size_or_origin_is_refused(self, tdmap):
+        grid = VoxelGrid(voxel_size=5.0)
+        insert_points(grid, cloud_of([[1, 1, 1]], [3]))
+        with pytest.raises(ValueError, match="cannot project"):
+            project_top_down(grid, onto=tdmap)
+        assert tdmap.labels == {}
+        assert grid.touched == {(0, 0, 0)}
+
+
 class TestTopDownMap:
     def test_cell_of_uses_the_origin_offset(self):
         tdmap = TopDownMap(cell_size=5.0, origin=(10.0, -5.0))
@@ -232,6 +302,32 @@ class TestMapSnapshot:
     def test_empty_map_prints_zero_extent(self):
         text = map_snapshot(TopDownMap(cell_size=2.5), {1: "road"})
         assert "origin 0 0\nsize 0 0\n" in text
+
+
+class TestMapSnapshotMatchesReference:
+    """The whole-array snapshot prints what the per-cell loop printed."""
+
+    @given(cell_size=st.sampled_from([0.5, 2.5, 5.0]),
+           labels=st.dictionaries(
+               st.tuples(st.integers(-20, 20), st.integers(-20, 20)),
+               st.one_of(st.integers(1, 12),
+                         st.sampled_from([10**6, 2**40])),
+               max_size=60),
+           trajectory=st.sets(
+               st.tuples(st.integers(-25, 25), st.integers(-25, 25)),
+               max_size=20))
+    @settings(max_examples=300, deadline=None)
+    def test_byte_equal(self, cell_size, labels, trajectory):
+        tdmap = TopDownMap(cell_size, labels=labels, trajectory=trajectory)
+        legend = {1: "road", 2: "building", 2**40: "far"}
+        assert map_snapshot(tdmap, legend) == \
+            map_snapshot_reference(tdmap, legend)
+
+    def test_trajectory_only_and_empty_maps(self):
+        for tdmap in (TopDownMap(5.0, trajectory={(-3, -7), (2, 4)}),
+                      TopDownMap(5.0)):
+            assert map_snapshot(tdmap, {}) == map_snapshot_reference(
+                tdmap, {})
 
 
 CELL = st.tuples(st.integers(-30, 30), st.integers(-30, 30))

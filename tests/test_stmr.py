@@ -24,7 +24,11 @@ from stmrnav.stmr import (
     pool_to_matrix,
     serialize_matrix,
 )
-from reference_mapping import pool_to_matrix_reference
+from reference_mapping import (
+    extract_local_window_reference,
+    pool_to_matrix_reference,
+    serialize_matrix_reference,
+)
 
 LEGEND = {1: "road", 2: "building", 3: "river", 4: "grass"}
 
@@ -66,6 +70,46 @@ class TestExtractLocalWindow:
             extract_local_window(tdmap, UavPose(0, 0, 5), size=5)
         with pytest.raises(ValueError):
             extract_local_window(tdmap, UavPose(0, 0, 5), size=0)
+
+
+# Cells on both sides of zero, so windows reach negative cells; labels
+# include sparse ids up to 2**40.
+MAP_CELL = st.tuples(st.integers(-12, 12), st.integers(-12, 12))
+MAP_LABEL = st.one_of(st.integers(1, 9), st.sampled_from([10**6, 2**40]))
+COORD = st.floats(-60.0, 60.0, allow_nan=False)
+
+
+class TestExtractLocalWindowMatchesReference:
+    """The row-list window equals the per-cell loop it replaced."""
+
+    @given(labels=st.dictionaries(MAP_CELL, MAP_LABEL, max_size=80),
+           trajectory=st.sets(MAP_CELL, max_size=30),
+           x=COORD, y=COORD, size=st.sampled_from([2, 4, 6]),
+           block=st.integers(1, 3),
+           cell_size=st.sampled_from([2.5, 5.0]))
+    @settings(max_examples=300, deadline=None)
+    def test_byte_equal(self, labels, trajectory, x, y, size, block,
+                        cell_size):
+        tdmap = TopDownMap(cell_size, labels=labels, trajectory=trajectory)
+        pose = UavPose(x, y, 9.0)
+        got = extract_local_window(tdmap, pose, size=size, block=block)
+        want = extract_local_window_reference(tdmap, pose, size=size,
+                                              block=block)
+        for a, b in ((got.labels, want.labels),
+                     (got.trajectory, want.trajectory)):
+            assert (a.dtype, a.shape) == (b.dtype, b.shape)
+            assert a.tobytes() == b.tobytes()
+        assert got.cell_size == want.cell_size
+
+    @pytest.mark.parametrize("block", [1, 2, 3])
+    def test_empty_map(self, block):
+        tdmap = TopDownMap(cell_size=5.0)
+        pose = UavPose(-7.0, -3.0, 9.0)
+        got = extract_local_window(tdmap, pose, size=4, block=block)
+        want = extract_local_window_reference(tdmap, pose, size=4,
+                                              block=block)
+        assert got.labels.tobytes() == want.labels.tobytes()
+        assert got.trajectory.tobytes() == want.trajectory.tobytes()
 
 
 class TestOrientationToken:
@@ -257,6 +301,28 @@ class TestMatrixText:
                             orientation_token=orientation_token(pose))
         parsed = parse_matrix(serialize_matrix(matrix))
         assert parsed.orientation_token == matrix.orientation_token
+
+
+@st.composite
+def matrices(draw):
+    n = draw(st.sampled_from([2, 4, 6, 20]))
+    ids = draw(st.lists(MAP_LABEL, min_size=1, max_size=4, unique=True))
+    cells = draw(arrays(np.int64, (n, n),
+                        elements=st.sampled_from([0, -1, *ids])))
+    return StmrMatrix(cells=cells, legend={i: f"id{i}" for i in ids},
+                      orientation_token="north0")
+
+
+class TestSerializeMatrixMatchesReference:
+    """Formatting from ``cells.tolist()`` prints what indexing did."""
+
+    @given(matrix=matrices(),
+           yaw=st.one_of(st.none(), st.floats(0, 2 * math.pi - 1e-9)))
+    @settings(max_examples=200, deadline=None)
+    def test_byte_equal(self, matrix, yaw):
+        pose = None if yaw is None else UavPose(0, 0, 5, yaw=yaw)
+        assert serialize_matrix(matrix, pose) == \
+            serialize_matrix_reference(matrix, pose)
 
 
 class TestEncodeTopo:
