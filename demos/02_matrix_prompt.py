@@ -71,7 +71,9 @@ def main() -> None:
 
     turned = UavPose(pose.x, pose.y, pose.z, pitch=math.radians(30),
                      roll=0.0, yaw=pose.yaw + math.pi)
-    turned_text = serialize_matrix(matrix, pose=turned)
+    turned_text = serialize_matrix(
+        pool_to_matrix(window, turned, scene.legend, frozenset(),
+                       size=20, cell_metric=5.0))
     new_token = turned_text.splitlines()[11].split(" ")[10]
     changed = sum(a != b for a, b in zip(text.split(), turned_text.split()))
     print(f"after an in-place half turn with the camera pitched down 30 "

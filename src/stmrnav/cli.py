@@ -30,8 +30,7 @@ EXIT_OK = 0
 EXIT_DATA = 1
 EXIT_USAGE = 2
 
-_CONFIG_KEYS = frozenset(
-    f.name for f in fields(evaluation.LoopConfig)) - {"intrinsics"}
+_CONFIG_KEYS = frozenset(f.name for f in fields(evaluation.LoopConfig))
 
 
 def _load_loop_config(path, overrides) -> evaluation.LoopConfig:
@@ -91,13 +90,7 @@ def _perceptor_factory(spec: str, scene: world.Scene):
 def cmd_run(args) -> int:
     try:
         config = _load_loop_config(args.config, {
-            "tau": args.tau,
-            "r": args.r,
-            "matrix_size": args.matrix_size,
-            "max_actions": args.max_actions,
-            "plan_mode": args.plan_mode,
-            "map_format": args.map_format,
-        })
+            k: v for k, v in vars(args).items() if k in _CONFIG_KEYS})
         if args.parallel < 1:
             raise ValueError("--parallel must be at least 1")
     except (ValueError, TypeError, TemplateError) as exc:
@@ -219,39 +212,30 @@ def cmd_dump_map(args) -> int:
 # validate
 # ---------------------------------------------------------------------------
 
-def _first_header(path) -> str:
-    with open(path, "r", encoding="utf-8") as f:
-        for raw in f:
-            line = raw.strip()
-            if line and not line.startswith("#"):
-                return line
-    return ""
-
-
 def cmd_validate(args) -> int:
     violations = []
     scene = None
     episodes = []
     for path in args.paths:
         try:
-            header = _first_header(path)
+            with open(path, "r", encoding="utf-8") as f:
+                text = f.read()
         except OSError as exc:
             violations.append(f"{path}: unreadable ({exc})")
             continue
+        _, header = next(world.significant_lines(text), (None, ""))
         try:
             if header == "stmr-scene v1":
-                parsed = world.load_scene(path)
+                parsed = world.parse_scene(text)
                 if scene is None:
                     scene = parsed
             elif header == "stmr-episode v1":
-                episodes.append((path, world.load_episode(path)))
+                episodes.append((path, world.parse_episode(text)))
             else:
                 violations.append(
                     f"{path}: unrecognized header {header!r}")
         except SceneParseError as exc:
             violations.append(f"{path}: {exc}")
-        except OSError as exc:
-            violations.append(f"{path}: unreadable ({exc})")
 
     if scene is not None:
         ext_x, ext_y = scene.extent
@@ -302,9 +286,9 @@ def build_parser() -> argparse.ArgumentParser:
                      dest="matrix_size")
     run.add_argument("--max-actions", type=int, default=None,
                      dest="max_actions")
-    run.add_argument("--plan-mode", choices=("state", "stateless"),
+    run.add_argument("--plan-mode", choices=evaluation.PLAN_MODES,
                      default=None, dest="plan_mode")
-    run.add_argument("--map-format", choices=("stmr", "topo", "metric"),
+    run.add_argument("--map-format", choices=evaluation.MAP_FORMATS,
                      default=None, dest="map_format")
     run.set_defaults(func=cmd_run)
 

@@ -21,10 +21,11 @@ from __future__ import annotations
 
 import csv
 import io
+import itertools
 import math
 import os
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, fields
 from typing import get_args, get_type_hints
 
 import numpy as np
@@ -61,7 +62,6 @@ from .plan import (
     update_plan_state,
 )
 from .planner import (
-    TASK_DESCRIPTION,
     Action,
     build_prompt,
     format_history,
@@ -81,6 +81,12 @@ from .world import Episode, Scene, apply_action, render
 
 DEFAULT_INTRINSICS = CameraIntrinsics(fx=40.0, fy=40.0, cx=31.5, cy=23.5,
                                       width=64, height=48)
+SUCCESS_RADIUS = 20.0              # meters, for SR and OSR
+
+# The choices of LoopConfig's string fields, each listed only here.
+MOUNTS = {"forward": FORWARD_MOUNT, "down": DOWNWARD_MOUNT}
+PLAN_MODES = ("state", "stateless")   # stateless regenerates each step
+MAP_FORMATS = ("stmr", "topo", "metric")
 
 
 @dataclass
@@ -92,17 +98,14 @@ class LoopConfig:
     matrix_size: int = 20
     voxel_size: float = 5.0
     max_range: float = 100.0       # depth reliability cutoff
-    intrinsics: CameraIntrinsics = DEFAULT_INTRINSICS
-    mount: str = "forward"         # or "down"
+    mount: str = "forward"         # a key of MOUNTS
     margin: float = 0.5            # collision standoff, meters
     requery_limit: int = 2         # extra queries after a bad response
     max_unparseable: int = 3       # consecutive fallbacks before aborting
-    plan_mode: str = "state"       # or "stateless" (regenerate each step)
-    map_format: str = "stmr"       # or "topo" / "metric"
-    success_radius: float = 20.0
+    plan_mode: str = "state"       # one of PLAN_MODES
+    map_format: str = "stmr"       # one of MAP_FORMATS
     max_actions: int | None = None  # None = use the episode's own cap
     template: str | None = None     # None = packaged default
-    task_description: str = TASK_DESCRIPTION
 
     def validate(self) -> None:
         for f in fields(self):
@@ -123,18 +126,16 @@ class LoopConfig:
             raise ValueError("max_range must be positive")
         if self.margin < 0:
             raise ValueError("margin cannot be negative")
-        if self.mount not in ("forward", "down"):
+        if self.mount not in MOUNTS:
             raise ValueError(f"unknown mount {self.mount!r}")
-        if self.plan_mode not in ("state", "stateless"):
+        if self.plan_mode not in PLAN_MODES:
             raise ValueError(f"unknown plan_mode {self.plan_mode!r}")
-        if self.map_format not in ("stmr", "topo", "metric"):
+        if self.map_format not in MAP_FORMATS:
             raise ValueError(f"unknown map_format {self.map_format!r}")
         if self.requery_limit < 0:
             raise ValueError("requery_limit cannot be negative")
         if self.max_unparseable < 1:
             raise ValueError("max_unparseable must be at least 1")
-        if not self.success_radius > 0:
-            raise ValueError("success_radius must be positive")
         if self.max_actions is not None and self.max_actions < 1:
             raise ValueError("max_actions must be positive")
         if self.template is not None:
@@ -148,7 +149,7 @@ class LoopConfig:
 
     @property
     def mount_matrix(self) -> np.ndarray:
-        return FORWARD_MOUNT if self.mount == "forward" else DOWNWARD_MOUNT
+        return MOUNTS[self.mount]
 
 
 _LOOP_CONFIG_TYPES = get_type_hints(LoopConfig)
@@ -215,7 +216,8 @@ def navigation_error(stop, goal) -> float:
     return math.dist((sx, sy, sz), (gx, gy, gz))
 
 
-def success(ne: float, stopped_by: str, radius: float = 20.0) -> bool:
+def success(ne: float, stopped_by: str,
+            radius: float = SUCCESS_RADIUS) -> bool:
     """Strictly inside the radius AND ended by a deliberate stop action."""
     return ne < radius and stopped_by == "stop-action"
 
@@ -233,7 +235,8 @@ def point_segment_distance(p, a, b) -> float:
     return float(np.linalg.norm(p - (a + t * ab)))
 
 
-def oracle_success(trajectory, goal, radius: float = 20.0) -> bool:
+def oracle_success(trajectory, goal,
+                   radius: float = SUCCESS_RADIUS) -> bool:
     """Did the flight ever pass strictly within the radius of the goal?
 
     Evaluated on every inter-pose segment, so fast flythroughs count.
@@ -338,7 +341,17 @@ def _metric_text(tdmap: TopDownMap, pose: UavPose, legend,
                  half_span: float) -> str:
     nearest: dict[int, tuple[float, float, float]] = {}
     cs = tdmap.cell_size
-    for (i, j), lab in sorted(tdmap.labels.items()):
+    # Only cells in the span count.  The scan runs one cell wider on each
+    # side so rounding in cell_of cannot drop a cell the test below
+    # keeps, and in (i, j) order, so ties go to the cell a sorted scan of
+    # every labelled cell would meet first.
+    i0, j0 = tdmap.cell_of(pose.x - half_span, pose.y - half_span)
+    i1, j1 = tdmap.cell_of(pose.x + half_span, pose.y + half_span)
+    for i, j in itertools.product(range(i0 - 1, i1 + 2),
+                                  range(j0 - 1, j1 + 2)):
+        lab = tdmap.labels.get((i, j))
+        if lab is None:
+            continue
         x = (i + 0.5) * cs
         y = (j + 0.5) * cs
         if abs(x - pose.x) > half_span or abs(y - pose.y) > half_span:
@@ -361,7 +374,7 @@ def run_episode(scene: Scene, episode: Episode, backend,
     if perceptor is None:
         perceptor = OraclePerceptor(scene.legend)
 
-    k = config.intrinsics
+    k = DEFAULT_INTRINSICS
     mount = config.mount_matrix
     legend_names = list(scene.legend.values())
     template = (config.template if config.template is not None
@@ -406,7 +419,8 @@ def run_episode(scene: Scene, episode: Episode, backend,
             if config.plan_mode == "stateless":
                 plan = decompose_instruction(episode.instruction,
                                              extra_vocab=legend_names)
-            subgoal_ids = current_subgoal_labels(plan, scene.legend)
+            subgoal_ids = current_subgoal_labels(plan, scene.legend,
+                                                 tau=config.tau)
             project_top_down(grid, subgoal_ids, onto=tdmap)
             window = extract_local_window(tdmap, pose,
                                           size=config.matrix_size,
@@ -414,7 +428,7 @@ def run_episode(scene: Scene, episode: Episode, backend,
             matrix = pool_to_matrix(window, pose, scene.legend,
                                     subgoal_ids, size=config.matrix_size,
                                     cell_metric=config.r)
-            plan = update_plan_state(plan, matrix)
+            plan = update_plan_state(plan, matrix, tau=config.tau)
             matrix_text = serialize_matrix(matrix)
             if config.map_format == "topo":
                 map_text = _topo_text(visited_order, tdmap, scene.legend)
@@ -427,9 +441,7 @@ def run_episode(scene: Scene, episode: Episode, backend,
             bundle = build_prompt(
                 episode.instruction, format_history(history), map_text,
                 serialize_plan(plan), legend_line(scene.legend),
-                template=template,
-                task_description=config.task_description,
-                size=config.matrix_size, r=config.r)
+                template=template, size=config.matrix_size, r=config.r)
 
             raw = ""
             parsed = None
@@ -493,9 +505,8 @@ def run_episode(scene: Scene, episode: Episode, backend,
         stop_pose=stop_pose,
         stopped_by=stopped_by,
         ne=ne,
-        success=success(ne, stopped_by, config.success_radius),
-        oracle_success=oracle_success(trajectory, episode.goal,
-                                      config.success_radius),
+        success=success(ne, stopped_by),
+        oracle_success=oracle_success(trajectory, episode.goal),
         step_traces=tuple(traces))
 
 

@@ -90,9 +90,6 @@ class SemanticPointCloud:
     def __len__(self) -> int:
         return self.xyz.shape[0]
 
-    def select(self, keep: np.ndarray) -> "SemanticPointCloud":
-        return SemanticPointCloud(self.xyz[keep], self.labels[keep])
-
 
 def rot_x(a: float) -> np.ndarray:
     c, s = math.cos(a), math.sin(a)

@@ -59,10 +59,6 @@ class VoxelGrid:
         if not self.voxel_size > 0:
             raise ValueError("voxel_size must be positive")
 
-    def voxel_of(self, x: float, y: float, z: float):
-        s = self.voxel_size
-        return (math.floor(x / s), math.floor(y / s), math.floor(z / s))
-
     def category(self, key) -> int:
         """Effective category of one voxel; 0 if unobserved."""
         hist = self.counts.get(tuple(key))
@@ -115,8 +111,8 @@ def insert_points(grid: VoxelGrid, cloud: SemanticPointCloud) -> VoxelGrid:
 class TopDownMap:
     """World-anchored 2D semantic map with a separate trajectory layer.
 
-    Cell (i, j) covers x in [i*s, (i+1)*s), y in [j*s, (j+1)*s) relative
-    to ``origin``.  Unlisted cells are unexplored.  ``columns`` and
+    Cell (i, j) covers x in [i*s, (i+1)*s), y in [j*s, (j+1)*s) of the
+    world frame.  Unlisted cells are unexplored.  ``columns`` and
     ``subgoals`` are the projection's own state: the ``{k: category}``
     of each projected column's voxels, and the sub-goal set its labels
     were computed with.
@@ -125,15 +121,14 @@ class TopDownMap:
     cell_size: float
     labels: dict[tuple[int, int], int] = field(default_factory=dict)
     trajectory: set[tuple[int, int]] = field(default_factory=set)
-    origin: tuple[float, float] = (0.0, 0.0)
     columns: dict[tuple[int, int], dict[int, int]] = field(
         default_factory=dict, repr=False, compare=False)
     subgoals: frozenset[int] | None = field(
         default=None, repr=False, compare=False)
 
     def cell_of(self, x: float, y: float) -> tuple[int, int]:
-        return (math.floor((x - self.origin[0]) / self.cell_size),
-                math.floor((y - self.origin[1]) / self.cell_size))
+        return (math.floor(x / self.cell_size),
+                math.floor(y / self.cell_size))
 
     def label_at(self, i: int, j: int) -> int:
         return self.labels.get((i, j), 0)
@@ -166,20 +161,18 @@ def project_top_down(grid: VoxelGrid, subgoal_labels=frozenset(),
     only the voxels in ``grid.touched`` are re-read, only their columns
     are relabelled (every column when the sub-goal set differs from the
     last call's), ``grid.touched`` is cleared, and ``onto`` itself is
-    returned.  ``onto`` must have the grid's voxel size as its cell size
-    and origin (0, 0), or ValueError is raised.
+    returned.  ``onto`` must have the grid's voxel size as its cell size,
+    or ValueError is raised.
     """
     subgoals = frozenset(subgoal_labels)
     if onto is None:
         tdmap = TopDownMap(cell_size=grid.voxel_size)
         keys = grid.counts
     else:
-        if onto.cell_size != grid.voxel_size or tuple(onto.origin) != (0, 0):
+        if onto.cell_size != grid.voxel_size:
             raise ValueError(
                 f"cannot project a grid of voxel_size {grid.voxel_size} "
-                f"onto a map of cell_size {onto.cell_size} and origin "
-                f"{tuple(onto.origin)}; it needs cell_size "
-                f"{grid.voxel_size} and origin (0, 0)")
+                f"onto a map of cell_size {onto.cell_size}")
         tdmap = onto
         keys = grid.touched
     columns = tdmap.columns
@@ -269,8 +262,7 @@ def parse_snapshot(text: str) -> tuple[TopDownMap, dict[int, str]]:
     """Inverse of ``map_snapshot``: the map's nonzero label cells and
     visited cells, and the legend without the 0 and -1 entries the
     snapshot adds.  The cell size comes back as printed (six significant
-    digits) and the world origin, which the format lacks, as (0, 0).
-    Raises ValueError on a malformed snapshot."""
+    digits).  Raises ValueError on a malformed snapshot."""
     header = {}
     legend = {}
     grids: dict[str, list[list[int]]] = {"labels": [], "trajectory": []}

@@ -174,19 +174,21 @@ def decompose_instruction(instruction: str, extractor=None,
     return PlanState(subgoals=subgoals)
 
 
-def current_subgoal_labels(plan: PlanState, legend) -> frozenset[int]:
+def current_subgoal_labels(plan: PlanState, legend,
+                           tau: float = 0.8) -> frozenset[int]:
     """Legend ids referenced by the IN_PROCESS sub-goal.
 
-    Landmarks that resolve to no legend entry are omitted with a
-    warning recorded on the plan.  Past the end of the plan the set is
-    empty.
+    Each landmark resolves with ``resolve_landmark_label`` at ``tau``,
+    the threshold ``filter_masks`` labels masks with.  Landmarks that
+    resolve to no legend entry are omitted with a warning recorded on
+    the plan.  Past the end of the plan the set is empty.
     """
     current = plan.current()
     if current is None:
         return frozenset()
     ids = set()
     for lm in current.landmarks:
-        lid = resolve_landmark_label(lm, legend)
+        lid = resolve_landmark_label(lm, legend, tau=tau)
         if lid:
             ids.add(lid)
         else:
@@ -202,11 +204,13 @@ def _labels_near_center(matrix: StmrMatrix) -> frozenset[int]:
     return frozenset(int(v) for v in block.ravel() if v > 0)
 
 
-def update_plan_state(plan: PlanState, matrix: StmrMatrix) -> PlanState:
+def update_plan_state(plan: PlanState, matrix: StmrMatrix,
+                      tau: float = 0.8) -> PlanState:
     """Advance the ledger against the current matrix (pure; returns new).
 
     The IN_PROCESS sub-goal completes when one of its landmark ids
-    appears within one cell of the matrix center; completion cascades
+    (resolved at ``tau``, as in ``current_subgoal_labels``) appears
+    within one cell of the matrix center; completion cascades
     in one call until the current sub-goal no longer matches, so the
     update is idempotent for a fixed matrix.  Texts are never rewritten
     and the completed count never decreases.
@@ -221,7 +225,7 @@ def update_plan_state(plan: PlanState, matrix: StmrMatrix) -> PlanState:
         current = subgoals[i]
         if current.status == TODO:
             subgoals[i] = current = replace(current, status=IN_PROCESS)
-        labels = current_subgoal_labels(out, matrix.legend)
+        labels = current_subgoal_labels(out, matrix.legend, tau=tau)
         if labels and labels & near:
             subgoals[i] = replace(current, status=COMPLETED)
             continue

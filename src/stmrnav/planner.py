@@ -147,42 +147,33 @@ def parse_action(text: str) -> Action:
 
 @dataclass(frozen=True)
 class PromptBundle:
-    """The five prompt blocks plus the fully rendered text."""
+    """The fully rendered prompt text."""
 
-    task_description: str
-    instruction: str
-    history: str
-    map_text: str
-    plan_text: str
     text: str
 
 
-def load_template(name: str = "prompt_v1") -> str:
-    """Load a packaged prompt template by version name."""
-    ref = resources.files("stmrnav").joinpath(f"templates/{name}.txt")
-    try:
-        return ref.read_text(encoding="utf-8")
-    except FileNotFoundError as exc:
-        raise TemplateError(f"no packaged template named {name!r}") from exc
+def load_template() -> str:
+    """Load the packaged prompt template, ``prompt_v1``."""
+    return (resources.files("stmrnav").joinpath("templates/prompt_v1.txt")
+            .read_text(encoding="utf-8"))
 
 
 def build_prompt(instruction: str, history: str, map_text: str,
                  plan_text: str, legend_text: str,
                  template: str | None = None,
-                 task_description: str = TASK_DESCRIPTION,
-                 size: int = 20, r: float = 5.0,
-                 degree_max: float = DEGREE_MAX,
-                 distance_max: float = DISTANCE_MAX) -> PromptBundle:
+                 size: int = 20, r: float = 5.0) -> PromptBundle:
     """Render the step prompt from a placeholder template.
 
-    Deterministic: equal inputs produce byte-identical text.  Raises a
-    template error if the template names a placeholder outside the
-    supported set.
+    The task description and the action bounds are the module's
+    ``TASK_DESCRIPTION``, ``DEGREE_MAX`` and ``DISTANCE_MAX``, the bounds
+    ``parse_action`` clamps to.  Deterministic: equal inputs produce
+    byte-identical text.  Raises a template error if the template names a
+    placeholder outside the supported set.
     """
     if template is None:
         template = load_template()
     values = {
-        "task": task_description,
+        "task": TASK_DESCRIPTION,
         "instruction": instruction,
         "history": history,
         "map": map_text,
@@ -191,16 +182,14 @@ def build_prompt(instruction: str, history: str, map_text: str,
         "size": size,
         "center": size // 2,
         "r": _fmt_number(r),
-        "degree_max": _fmt_number(degree_max),
-        "distance_max": _fmt_number(distance_max),
+        "degree_max": _fmt_number(DEGREE_MAX),
+        "distance_max": _fmt_number(DISTANCE_MAX),
     }
     try:
         text = template.format_map(values)
     except (KeyError, IndexError, ValueError) as exc:
         raise TemplateError(f"bad template placeholder: {exc}") from exc
-    return PromptBundle(task_description=task_description,
-                        instruction=instruction, history=history,
-                        map_text=map_text, plan_text=plan_text, text=text)
+    return PromptBundle(text=text)
 
 
 def format_history(entries) -> str:
@@ -321,13 +310,10 @@ class ScriptedBackend:
 
 
 class EchoBackend:
-    """Returns one fixed, well-formed response; useful for smoke runs."""
-
-    def __init__(self, response: str = STOP_RESPONSE):
-        self._response = response
+    """Always answers ``STOP_RESPONSE``; useful for smoke runs."""
 
     def complete(self, prompt: str) -> str:
-        return self._response
+        return STOP_RESPONSE
 
 
 class RandomBackend:

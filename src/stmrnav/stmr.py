@@ -166,16 +166,14 @@ def legend_line(legend) -> str:
     return "[" + " ".join(parts) + "]"
 
 
-def serialize_matrix(m: StmrMatrix, pose: UavPose | None = None) -> str:
+def serialize_matrix(m: StmrMatrix) -> str:
     """Print the matrix as prompt text: legend line, then north-up rows.
 
-    The center cell prints as the orientation token (recomputed from
-    ``pose`` when given).
+    The center cell prints as the matrix's orientation token.
     """
-    token = orientation_token(pose) if pose is not None else m.orientation_token
     rows = [list(map(str, row))
             for row in m.cells.astype(np.int64, copy=False).tolist()]
-    rows[m.center][m.center] = token
+    rows[m.center][m.center] = m.orientation_token
     return "\n".join([legend_line(m.legend)]
                      + [" ".join(row) for row in rows])
 

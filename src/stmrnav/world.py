@@ -108,7 +108,7 @@ class ActionOutcome:
 # scene / episode files
 # ---------------------------------------------------------------------------
 
-def _significant_lines(text: str):
+def significant_lines(text: str):
     """Yield (line_number, content) skipping blanks and # comments."""
     for n, raw in enumerate(text.splitlines(), start=1):
         line = raw.strip()
@@ -140,7 +140,7 @@ def _parse_grid(lines, idx, nrows, ncols, caster, fieldname):
 
 def parse_scene(text: str) -> Scene:
     """Parse the scene text format (header ``stmr-scene v1``)."""
-    lines = list(_significant_lines(text))
+    lines = list(significant_lines(text))
     if not lines or lines[0][1] != "stmr-scene v1":
         ln = lines[0][0] if lines else None
         raise SceneParseError("missing 'stmr-scene v1' header",
@@ -257,7 +257,7 @@ def load_scene(path) -> Scene:
 
 def parse_episode(text: str) -> Episode:
     """Parse the episode text format (header ``stmr-episode v1``)."""
-    lines = list(_significant_lines(text))
+    lines = list(significant_lines(text))
     if not lines or lines[0][1] != "stmr-episode v1":
         ln = lines[0][0] if lines else None
         raise SceneParseError("missing 'stmr-episode v1' header",

@@ -3,11 +3,12 @@
 incremental operations.
 
 Kept verbatim (renamed) as the oracles for the equality property tests
-in ``test_mapping.py`` and ``test_stmr.py``: the insert updates one
-histogram entry per point, the projection rebuilds the whole map from
-every voxel, the snapshot and the window look up one cell at a time,
-the serializer indexes one numpy scalar per cell, and the pooling runs
-``np.unique`` once per matrix cell.
+in ``test_mapping.py``, ``test_stmr.py`` and ``test_evaluation.py``: the
+insert updates one histogram entry per point, the projection rebuilds
+the whole map from every voxel, the snapshot and the window look up one
+cell at a time, the serializer indexes one numpy scalar per cell, the
+pooling runs ``np.unique`` once per matrix cell, and the metric map
+text sorts and scans every labelled cell of the map.
 """
 
 import numpy as np
@@ -18,6 +19,7 @@ from stmrnav.mapping import TopDownMap, VoxelGrid, _argmax_label
 from stmrnav.stmr import (
     LocalWindow,
     StmrMatrix,
+    encode_metric,
     legend_line,
     orientation_token,
 )
@@ -203,3 +205,21 @@ def serialize_matrix_reference(m: StmrMatrix,
                for col in range(m.size)]
         lines.append(" ".join(row))
     return "\n".join(lines)
+
+
+def metric_text_reference(tdmap: TopDownMap, pose: UavPose, legend,
+                          half_span: float) -> str:
+    nearest: dict[int, tuple[float, float, float]] = {}
+    cs = tdmap.cell_size
+    for (i, j), lab in sorted(tdmap.labels.items()):
+        x = (i + 0.5) * cs
+        y = (j + 0.5) * cs
+        if abs(x - pose.x) > half_span or abs(y - pose.y) > half_span:
+            continue
+        d2 = (x - pose.x) ** 2 + (y - pose.y) ** 2
+        best = nearest.get(lab)
+        if best is None or d2 < best[0]:
+            nearest[lab] = (d2, x, y)
+    landmarks = [(legend[lab], x, y)
+                 for lab, (_, x, y) in sorted(nearest.items())]
+    return encode_metric(landmarks, pose)

@@ -24,7 +24,7 @@ except ModuleNotFoundError:  # Python 3.10
     import tomli as tomllib
 
 from stmrnav import evaluation
-from stmrnav.cli import EXIT_DATA, EXIT_OK, EXIT_USAGE, main
+from stmrnav.cli import _CONFIG_KEYS, EXIT_DATA, EXIT_OK, EXIT_USAGE, main
 
 SCENE_TEXT = """\
 stmr-scene v1
@@ -425,6 +425,30 @@ sys.exit(func())
 def declared_entry_point(name):
     with open(REPO_ROOT / "pyproject.toml", "rb") as fh:
         return tomllib.load(fh)["project"]["scripts"][name]
+
+
+class TestReadmeContract:
+    """What README.md says of ``run`` is what the code accepts."""
+
+    readme = (REPO_ROOT / "README.md").read_text(encoding="utf-8")
+
+    def test_config_keys_and_mounts_are_the_accepted_ones(self):
+        listed = re.search(r"`--config` takes a JSON object with any "
+                           r"`LoopConfig`\s+field \(([^)]*)\)", self.readme)
+        assert listed, "README lost its --config key list"
+        assert set(re.findall(r"`(\w+)`", listed.group(1))) == _CONFIG_KEYS
+        mounts = " or ".join(f"`{m}`" for m in evaluation.MOUNTS)
+        assert f"`mount` is {mounts}." in " ".join(self.readme.split())
+
+    @pytest.mark.parametrize("flag, table", [
+        ("--plan-mode", evaluation.PLAN_MODES),
+        ("--map-format", evaluation.MAP_FORMATS),
+    ])
+    def test_choices_are_the_evaluation_tables(self, capsys, flag, table):
+        with pytest.raises(SystemExit):
+            main(["run", "--help"])
+        assert f"{flag} {{{','.join(table)}}}" in capsys.readouterr().out
+        assert f"[{flag} {'|'.join(table)}]" in self.readme
 
 
 def assert_clean_validate(proc):

@@ -17,6 +17,8 @@ import os
 import numpy as np
 import pytest
 import requests
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from stmrnav import evaluation
 from stmrnav.errors import PerceptionBackendError, TemplateError
@@ -38,6 +40,7 @@ from stmrnav.evaluation import (
     write_episode_trace,
 )
 from stmrnav.geometry import DOWNWARD_MOUNT, FORWARD_MOUNT, UavPose
+from stmrnav.mapping import TopDownMap
 from stmrnav.planner import (
     STOP_RESPONSE,
     Action,
@@ -46,6 +49,7 @@ from stmrnav.planner import (
 )
 from stmrnav.world import parse_episode, parse_scene
 from conftest import scripted_factory
+from reference_mapping import metric_text_reference
 
 SCENE_TEXT = """\
 stmr-scene v1
@@ -274,7 +278,6 @@ class TestLoopConfig:
         {"map_format": "hologram"},
         {"requery_limit": -1},
         {"max_unparseable": 0},
-        {"success_radius": 0.0},
         {"max_actions": 0},
     ])
     def test_invalid_values_are_rejected(self, kwargs):
@@ -422,12 +425,69 @@ class TestRunEpisode:
         assert ("meters away" in prompt) or ("nothing mapped yet" in prompt)
         assert result.step_traces[0].matrix_text not in prompt
 
+    def test_subgoal_landmarks_resolve_at_the_configured_tau(
+            self, wall_scene, ep_east):
+        # "white building" scores about 0.61 against the legend name
+        # "building": filter_masks keeps and labels the building masks at
+        # tau 0.5, and the sub-goal must resolve at the same tau to win
+        # priority and complete beside the wall
+        episode = dataclasses.replace(
+            ep_east, instruction="fly to the white building")
+        for tau, status in ((0.5, "Completed"), (0.8, "In Process")):
+            result = run_episode(wall_scene, episode,
+                                 ScriptedBackend([STOP_RESPONSE]),
+                                 config=LoopConfig(tau=tau))
+            assert (f"1. ({status}) fly to the white building"
+                    in result.step_traces[0].prompt), tau
+
     def test_invalid_config_is_rejected_before_flying(self, wall_scene,
                                                       ep_north):
         with pytest.raises(ValueError):
             run_episode(wall_scene, ep_north,
                         ScriptedBackend([STOP_RESPONSE]),
                         config=LoopConfig(tau=2.0))
+
+
+METRIC_LEGEND = {1: "road", 2: "building", 3: "river"}
+
+
+@st.composite
+def metric_cases(draw):
+    """A map, a pose and a half span for the metric map text.
+
+    Cells go negative; poses land anywhere, on cell edges or on cell
+    centers (where equal distances tie); the map may be empty."""
+    cs = draw(st.sampled_from([2.5, 5.0, 10.0]))
+    reach = draw(st.integers(1, 12))      # small reaches fill the map densely
+    index = st.integers(-reach, reach)
+    ids = draw(st.sampled_from([[1], [1, 2], [1, 2, 3]]))
+    labels = draw(st.dictionaries(st.tuples(index, index),
+                                  st.sampled_from(ids), max_size=60))
+    grid = st.integers(-reach - 2, reach + 2)
+    coord = st.one_of(st.floats(-70, 70),
+                      grid.map(lambda k: k * cs),
+                      grid.map(lambda k: (k + 0.5) * cs))
+    half_span = draw(st.one_of(st.floats(0, 40),
+                               st.integers(0, 6).map(lambda k: k * cs)))
+    pose = UavPose(draw(coord), draw(coord), 20.0,
+                   yaw=draw(st.floats(0, 6.28)))
+    return TopDownMap(cell_size=cs, labels=labels), pose, half_span
+
+
+class TestMetricTextMatchesReference:
+    """Scanning the span's cells prints what sorting every cell did."""
+
+    @given(metric_cases())
+    # two road cells 5 m west and 5 m south of the vehicle: the sorted
+    # scan meets (-1, 0) first, so the road is reported behind it
+    @example((TopDownMap(cell_size=5.0, labels={(-1, 0): 1, (0, -1): 1}),
+              UavPose(2.5, 2.5, 20.0, yaw=0.3), 20.0))
+    @settings(max_examples=300, deadline=None)
+    def test_byte_equal(self, case):
+        tdmap, pose, half_span = case
+        assert evaluation._metric_text(tdmap, pose, METRIC_LEGEND,
+                                       half_span) == \
+            metric_text_reference(tdmap, pose, METRIC_LEGEND, half_span)
 
 
 # ---------------------------------------------------------------------------

@@ -230,14 +230,6 @@ class TestBackprojectImage:
 
 
 class TestPointCloud:
-    def test_select_filters_by_mask(self):
-        cloud = SemanticPointCloud(
-            np.array([[0.0, 0, 0], [1, 1, 1], [2, 2, 2]]),
-            np.array([1, 2, 3]))
-        picked = cloud.select(np.array([True, False, True]))
-        assert np.array_equal(picked.labels, [1, 3])
-        assert np.array_equal(picked.xyz[1], [2.0, 2.0, 2.0])
-
     def test_rejects_mismatched_lengths(self):
         with pytest.raises(ShapeMismatchError):
             SemanticPointCloud(np.zeros((3, 3)), np.array([1, 2]))

@@ -36,7 +36,6 @@ from stmrnav.planner import (
     build_prompt,
     format_history,
     backend_factory,
-    load_template,
     parse_action,
     parse_response,
     query,
@@ -161,10 +160,6 @@ class TestBuildPrompt:
         with pytest.raises(TemplateError):
             build_prompt("i", "[]", "m", "p", "l",
                          template="Hello {bogus}")
-
-    def test_missing_packaged_template_is_a_template_error(self):
-        with pytest.raises(TemplateError):
-            load_template("prompt_v999")
 
 
 class TestFormatHistory:

@@ -253,11 +253,6 @@ class TestMatrixText:
         assert lines[3] == "0 0 north0 0"
         assert lines[4] == "0 0 -1 0"
 
-    def test_pose_argument_recomputes_the_token(self):
-        text = serialize_matrix(self.make_matrix(),
-                                pose=UavPose(0, 0, 5, yaw=math.pi))
-        assert "west0" in text.splitlines()[3]
-
     def test_parse_inverts_serialize(self):
         matrix = self.make_matrix()
         parsed = parse_matrix(serialize_matrix(matrix))
@@ -316,13 +311,10 @@ def matrices(draw):
 class TestSerializeMatrixMatchesReference:
     """Formatting from ``cells.tolist()`` prints what indexing did."""
 
-    @given(matrix=matrices(),
-           yaw=st.one_of(st.none(), st.floats(0, 2 * math.pi - 1e-9)))
+    @given(matrix=matrices())
     @settings(max_examples=200, deadline=None)
-    def test_byte_equal(self, matrix, yaw):
-        pose = None if yaw is None else UavPose(0, 0, 5, yaw=yaw)
-        assert serialize_matrix(matrix, pose) == \
-            serialize_matrix_reference(matrix, pose)
+    def test_byte_equal(self, matrix):
+        assert serialize_matrix(matrix) == serialize_matrix_reference(matrix)
 
 
 class TestEncodeTopo:
