@@ -84,12 +84,11 @@ def main() -> None:
     print(f"\nround trip: parse_matrix returns a {parsed.size}x"
           f"{parsed.size} matrix, legend {parsed.legend}")
 
-    # the same map as a place graph: caption each visited/known cell
+    # the same map as a place chain: caption each visited/known cell
     captions = ["grass bank where the flight starts",
                 "road running east", "river crossing under the road"]
-    adjacency = {0: [1], 1: [0, 2], 2: [1]}
-    print("\nplace-graph encoding of a three-stop tour:")
-    print(encode_topo(captions, adjacency))
+    print("\nplace-chain encoding of a three-stop tour:")
+    print(encode_topo(captions))
 
     # and as metric clauses: nearest mapped cell of each category
     nearest = {}

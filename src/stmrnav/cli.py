@@ -24,7 +24,7 @@ import traceback
 from dataclasses import fields
 
 from . import evaluation, mapping, perception, planner, world
-from .errors import SceneParseError, StmrNavError, TemplateError
+from .errors import SceneParseError, StmrNavError, TemplateError, read_text
 
 EXIT_OK = 0
 EXIT_DATA = 1
@@ -36,8 +36,7 @@ _CONFIG_KEYS = frozenset(f.name for f in fields(evaluation.LoopConfig))
 def _load_loop_config(path, overrides) -> evaluation.LoopConfig:
     values = {}
     if path:
-        with open(path, "r", encoding="utf-8") as f:
-            data = json.load(f)
+        data = json.loads(read_text(path))
         if not isinstance(data, dict):
             raise ValueError("config file must hold a JSON object")
         unknown = set(data) - _CONFIG_KEYS
@@ -59,13 +58,7 @@ def _expand_episode_paths(patterns) -> list[str]:
             paths.extend(hits)
         else:
             paths.append(pattern)  # literal path; load will fail loudly
-    seen = set()
-    unique = []
-    for p in paths:
-        if p not in seen:
-            seen.add(p)
-            unique.append(p)
-    return unique
+    return list(dict.fromkeys(paths))   # first occurrence wins
 
 
 def _perceptor_factory(spec: str, scene: world.Scene):
@@ -218,8 +211,7 @@ def cmd_validate(args) -> int:
     episodes = []
     for path in args.paths:
         try:
-            with open(path, "r", encoding="utf-8") as f:
-                text = f.read()
+            text = read_text(path)
         except OSError as exc:
             violations.append(f"{path}: unreadable ({exc})")
             continue

@@ -1,4 +1,19 @@
-"""Exception hierarchy shared by all stmrnav modules."""
+"""Exception hierarchy shared by all stmrnav modules, and the one reader
+of the package's input text files."""
+
+import errno
+
+
+def read_text(path) -> str:
+    """The UTF-8 text of the file at ``path``.  Bytes that are not UTF-8
+    raise OSError (``EILSEQ``), as a missing file does, so callers report
+    either as unreadable data."""
+    with open(path, "r", encoding="utf-8") as f:
+        try:
+            return f.read()
+        except UnicodeDecodeError as exc:
+            raise OSError(errno.EILSEQ, f"not valid UTF-8 ({exc.reason})",
+                          str(path)) from exc
 
 
 class StmrNavError(Exception):
@@ -43,19 +58,13 @@ class UndefinedSimilarityError(StmrNavError):
     """Text similarity requested for a document that tokenizes to nothing."""
 
 
-class PerceptionBackendError(StmrNavError):
-    """A perceptor or landmark-extractor backend failed.
-
-    ``raw`` holds the backend's raw response (or exception text) for audit.
-    """
-
-    def __init__(self, message, raw=None):
-        self.raw = raw
-        super().__init__(message)
-
-
 class PlanningBackendError(StmrNavError):
-    """An instruction-decomposition backend failed."""
+    """A planning backend gave no usable completion: a scripted backend
+    ran out of responses, or a remote server returned a malformed
+    completion.
+
+    ``raw`` holds the offending response for audit, when there is one.
+    """
 
     def __init__(self, message, raw=None):
         self.raw = raw

@@ -31,7 +31,12 @@ from typing import get_args, get_type_hints
 import numpy as np
 
 from . import planner
-from .errors import ActionParseError, StmrNavError, UnparseableResponseError
+from .errors import (
+    ActionParseError,
+    StmrNavError,
+    UnparseableResponseError,
+    read_text,
+)
 from .geometry import (
     DOWNWARD_MOUNT,
     FORWARD_MOUNT,
@@ -279,18 +284,15 @@ def format_summary(summary: Summary) -> str:
             f"{summary.sr:8.1f}  {summary.osr:8.1f}\n")
 
 
-def write_results_csv(results, stream) -> None:
-    writer = csv.writer(stream, lineterminator="\n")
+def results_csv_text(results) -> str:
+    """The text of ``results.csv``: a header row, then one row per episode."""
+    buf = io.StringIO()
+    writer = csv.writer(buf, lineterminator="\n")
     writer.writerow(["episode_id", "ne_m", "success", "oracle_success",
                      "steps", "stopped_by"])
     for r in results:
         writer.writerow([r.episode_id, f"{r.ne:.3f}", int(r.success),
                          int(r.oracle_success), r.steps, r.stopped_by])
-
-
-def results_csv_text(results) -> str:
-    buf = io.StringIO()
-    write_results_csv(results, buf)
     return buf.getvalue()
 
 
@@ -305,19 +307,16 @@ def _mark_segment(tdmap: TopDownMap, pose_a: UavPose,
     steps = max(1, math.ceil(dist / (tdmap.cell_size / 2.0)))
     for s in range(1, steps + 1):
         f = s / steps
-        mark_waypoint(tdmap, UavPose(
+        tdmap.trajectory.add(tdmap.cell_of(
             pose_a.x + f * (pose_b.x - pose_a.x),
-            pose_a.y + f * (pose_b.y - pose_a.y),
-            pose_b.z, pitch=pose_b.pitch, roll=pose_b.roll,
-            yaw=pose_b.yaw))
+            pose_a.y + f * (pose_b.y - pose_a.y)))
 
 
 def _visited_cells_in_order(order: list, tdmap: TopDownMap,
                             pose: UavPose) -> None:
     cell = tdmap.cell_of(pose.x, pose.y)
-    if not order or order[-1] != cell:
-        if cell not in order:
-            order.append(cell)
+    if cell not in order:
+        order.append(cell)
 
 
 def _topo_text(order, tdmap: TopDownMap, legend) -> str:
@@ -326,15 +325,7 @@ def _topo_text(order, tdmap: TopDownMap, legend) -> str:
         lab = tdmap.label_at(i, j)
         name = legend.get(lab, "unexplored ground")
         captions.append(f"{name} at cell ({i}, {j})")
-    adjacency = {}
-    for k in range(len(order)):
-        neighbors = []
-        if k > 0:
-            neighbors.append(k - 1)
-        if k + 1 < len(order):
-            neighbors.append(k + 1)
-        adjacency[k] = neighbors
-    return encode_topo(captions, adjacency)
+    return encode_topo(captions)
 
 
 def _metric_text(tdmap: TopDownMap, pose: UavPose, legend,
@@ -514,6 +505,11 @@ def run_episode(scene: Scene, episode: Episode, backend,
 # suites and traces on disk
 # ---------------------------------------------------------------------------
 
+# A step directory's files, ``<name>.txt``, in ``StepTrace`` field order;
+# ``notes`` is written only when the step has any.
+_STEP_FILES = ("prompt", "response", "matrix", "map", "pose", "notes")
+
+
 def write_episode_trace(result: EpisodeResult, out_root) -> None:
     """Write ``<out_root>/<episode_id>/step_<index>/`` for every step:
     prompt, response, matrix, map, pose (x y z pitch roll yaw) and any
@@ -523,21 +519,17 @@ def write_episode_trace(result: EpisodeResult, out_root) -> None:
     for trace in result.step_traces:
         step_dir = os.path.join(base, f"step_{trace.index}")
         os.makedirs(step_dir, exist_ok=True)
-        files = {
-            "prompt.txt": trace.prompt,
-            "response.txt": trace.response,
-            "matrix.txt": trace.matrix_text,
-            "map.txt": trace.map_text,
-            "pose.txt": " ".join(repr(v) for v in (
+        contents = (
+            trace.prompt, trace.response, trace.matrix_text, trace.map_text,
+            " ".join(repr(v) for v in (
                 trace.pose.x, trace.pose.y, trace.pose.z,
                 trace.pose.pitch, trace.pose.roll, trace.pose.yaw)) + "\n",
-        }
-        if trace.notes:
-            files["notes.txt"] = "\n".join(trace.notes) + "\n"
-        for name, content in files.items():
-            with open(os.path.join(step_dir, name), "w",
-                      encoding="utf-8", newline="") as f:
-                f.write(content)
+            "\n".join(trace.notes) + "\n" if trace.notes else None)
+        for name, content in zip(_STEP_FILES, contents):
+            if content is not None:
+                with open(os.path.join(step_dir, f"{name}.txt"), "w",
+                          encoding="utf-8", newline="") as f:
+                    f.write(content)
 
 
 def read_step_trace(episode_dir, step: int) -> StepTrace | None:
@@ -549,11 +541,10 @@ def read_step_trace(episode_dir, step: int) -> StepTrace | None:
     if not os.path.isdir(step_dir):
         return None
     text = {}
-    for name in ("prompt", "response", "matrix", "map", "pose", "notes"):
+    for name in _STEP_FILES:
         path = os.path.join(step_dir, f"{name}.txt")
         if name != "notes" or os.path.exists(path):
-            with open(path, encoding="utf-8") as f:
-                text[name] = f.read()
+            text[name] = read_text(path)
     values = text["pose"].split()
     if len(values) != 6:
         raise ValueError(f"pose.txt holds {len(values)} values, not 6")
@@ -615,7 +606,7 @@ def run_suite(scene: Scene, episodes, backend_factory,
             write_episode_trace(result, out_dir)
         with open(os.path.join(out_dir, "results.csv"), "w",
                   encoding="utf-8", newline="") as f:
-            write_results_csv(results, f)
+            f.write(results_csv_text(results))
         if results or not failures:     # no summary of nothing finished
             with open(os.path.join(out_dir, "summary.txt"), "w",
                       encoding="utf-8", newline="") as f:

@@ -22,11 +22,11 @@ from dataclasses import dataclass, replace
 import numpy as np
 from scipy import ndimage
 
-from .errors import LabelError, PerceptionBackendError, UndefinedSimilarityError
+from .errors import LabelError, UndefinedSimilarityError
 
 _TOKEN_RE = re.compile(r"[a-z0-9]+")
 
-# Nouns the rule-based extractor recognizes as landmark heads, beyond
+# Nouns the rule-based scanner recognizes as landmark heads, beyond
 # whatever the scene legend provides.
 _LEXICON = {
     "road", "street", "highway", "path", "trail", "intersection",
@@ -81,41 +81,17 @@ class PerceivedMask:
 # landmark extraction
 # ---------------------------------------------------------------------------
 
-def extract_landmarks(instruction: str, extractor=None,
-                      extra_vocab=()) -> list[str]:
+def extract_landmarks(instruction: str, extra_vocab=()) -> list[str]:
     """Pull landmark category phrases out of an instruction.
 
-    With no ``extractor`` a rule-based scanner runs: tokens are matched
-    against a built-in landmark lexicon (plus ``extra_vocab``, normally
-    the scene legend names), preferring two-word compounds, and any
-    immediately preceding run of descriptive modifiers is kept with the
-    noun ("white building").  Results are lowercased and deduplicated
-    in order of first appearance.
-
-    A custom ``extractor`` must expose ``extract(text) -> phrase list``
-    (or be a plain callable); its failures surface as
-    perception-backend errors carrying the raw cause.
+    A rule-based scanner: tokens are matched against a built-in landmark
+    lexicon (plus ``extra_vocab``, normally the scene legend names),
+    preferring two-word compounds, and any immediately preceding run of
+    descriptive modifiers is kept with the noun ("white building").
+    Results are lowercased and deduplicated in order of first appearance.
     """
     if not instruction or not instruction.strip():
         raise ValueError("instruction is empty")
-
-    if extractor is not None:
-        call = getattr(extractor, "extract", extractor)
-        try:
-            phrases = call(instruction)
-        except Exception as exc:
-            raise PerceptionBackendError(
-                f"landmark extractor failed: {exc}", raw=repr(exc)) from exc
-        if not isinstance(phrases, (list, tuple)):
-            raise PerceptionBackendError(
-                "landmark extractor returned a non-list",
-                raw=repr(phrases))
-        out = []
-        for p in phrases:
-            p = str(p).strip().lower()
-            if p and p not in out:
-                out.append(p)
-        return out
 
     vocab = set(_LEXICON)
     multi = set(_MULTIWORD)
@@ -297,30 +273,21 @@ class OraclePerceptor:
 class DegradedOraclePerceptor:
     """Oracle with seeded failures, for perception-robustness studies.
 
-    Each mask is independently dropped with probability ``drop_rate``
-    and, if it survives, its caption is replaced with a useless one with
-    probability ``corrupt_rate``.  Draws come from one seeded generator
-    in mask order, so a given seed replays the same degradation.
+    Each mask is independently dropped with probability ``drop_rate``.
+    Draws come from one seeded generator in mask order, so a given seed
+    replays the same degradation.
     """
 
-    def __init__(self, legend, drop_rate: float = 0.3, seed: int = 7,
-                 corrupt_rate: float = 0.0):
-        if not (0.0 <= drop_rate <= 1.0 and 0.0 <= corrupt_rate <= 1.0):
-            raise ValueError("rates must be in [0, 1]")
+    def __init__(self, legend, drop_rate: float = 0.3, seed: int = 7):
+        if not 0.0 <= drop_rate <= 1.0:
+            raise ValueError("drop rate must be in [0, 1]")
         self._oracle = OraclePerceptor(legend)
         self.drop_rate = drop_rate
-        self.corrupt_rate = corrupt_rate
         self._rng = np.random.default_rng(seed)
 
     def perceive(self, depth: np.ndarray, semantic: np.ndarray):
-        out = []
-        for m in self._oracle.perceive(depth, semantic):
-            if self._rng.random() < self.drop_rate:
-                continue
-            if self.corrupt_rate and self._rng.random() < self.corrupt_rate:
-                m = replace(m, caption="unidentified object")
-            out.append(m)
-        return out
+        return [m for m in self._oracle.perceive(depth, semantic)
+                if self._rng.random() >= self.drop_rate]
 
 
 def perceive(backend, depth: np.ndarray, semantic: np.ndarray):

@@ -18,7 +18,6 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass, field, replace
 
-from .errors import PlanningBackendError
 from .perception import extract_landmarks, resolve_landmark_label
 from .stmr import StmrMatrix
 
@@ -132,35 +131,21 @@ def split_instruction(instruction: str) -> list[str]:
     return out
 
 
-def decompose_instruction(instruction: str, extractor=None,
-                          extra_vocab=()) -> PlanState:
+def decompose_instruction(instruction: str, extra_vocab=()) -> PlanState:
     """Split an instruction into the initial plan ledger.
 
-    ``extractor``, when given, must expose ``decompose(text) -> list of
-    sub-goal texts`` (or be a plain callable); its failures surface as
-    planning-backend errors.  Landmarks are extracted per sub-goal with
-    the rule-based scanner (``extra_vocab`` is normally the scene legend
-    names).  The first sub-goal starts IN_PROCESS, the rest TODO.
+    ``split_instruction`` cuts the sub-goal texts, and landmarks are
+    extracted per sub-goal with the rule-based scanner (``extra_vocab``
+    is normally the scene legend names).  The first sub-goal starts
+    IN_PROCESS, the rest TODO.
     """
     if not instruction or not instruction.strip():
         raise ValueError("instruction is empty")
 
-    if extractor is not None:
-        call = getattr(extractor, "decompose", extractor)
-        try:
-            texts = [str(t).strip() for t in call(instruction)]
-        except Exception as exc:
-            raise PlanningBackendError(
-                f"decomposition backend failed: {exc}") from exc
-        texts = [t for t in texts if t]
-        if not texts:
-            raise PlanningBackendError(
-                "decomposition backend returned no sub-goals")
-    else:
-        texts = split_instruction(instruction)
-        if not texts:
-            raise ValueError(
-                f"no sub-goals found in instruction {instruction!r}")
+    texts = split_instruction(instruction)
+    if not texts:
+        raise ValueError(
+            f"no sub-goals found in instruction {instruction!r}")
 
     subgoals = []
     for i, text in enumerate(texts):

@@ -35,6 +35,7 @@ from .errors import (
     PlanningBackendError,
     TemplateError,
     UnparseableResponseError,
+    read_text,
 )
 
 VERBS = ("right", "left", "lift", "down", "straight", "back", "stop")
@@ -294,9 +295,7 @@ class ScriptedBackend:
     @classmethod
     def from_file(cls, path) -> "ScriptedBackend":
         """Load a script file: responses separated by lines of ``===``."""
-        with open(path, "r", encoding="utf-8") as f:
-            text = f.read()
-        chunks = re.split(r"^===\s*$", text, flags=re.MULTILINE)
+        chunks = re.split(r"^===\s*$", read_text(path), flags=re.MULTILINE)
         responses = [c.strip("\n") for c in chunks if c.strip()]
         return cls(responses)
 
@@ -340,24 +339,29 @@ _RETRYABLE = (requests.Timeout, requests.ConnectionError,
               requests.exceptions.ChunkedEncodingError,
               requests.exceptions.ContentDecodingError)
 
+# Every remote call: at most this many requests, sleeping 0.5 s, then 1 s,
+# ... between them, each request given this long to answer.
+_ATTEMPTS = 3
+_BACKOFF_S = 0.5
+_TIMEOUT_S = 60.0
+
 
 class RemoteBackend:
     """Chat-completions-style HTTP backend with bounded retry.
 
     Sends ``{"model": ..., "messages": [{"role": "user", ...}]}`` to the
-    configured endpoint; ``temperature`` is omitted unless set so the
-    service defaults apply.  The bearer token is read from the
-    environment at call time.  Only faults a retry can fix are retried,
-    with exponential backoff: timeouts, refused or dropped connections,
-    broken or undecodable response bodies, 429 and 5xx responses.  Any
-    other failed request (a malformed header or URL, too many redirects,
-    ...) and other 4xx responses raise ``BackendUnavailableError`` at
-    once.  The endpoint must be an ``http://`` or ``https://`` URL.
+    configured endpoint, so the service's sampling defaults apply.  The
+    bearer token is read from the environment at call time.  Each request
+    gets 60 s.  Only faults a retry can fix are retried, for at most 3
+    attempts with a 0.5 s backoff that doubles: timeouts, refused or
+    dropped connections, broken or undecodable response bodies, 429 and
+    5xx responses.  Any other failed request (a malformed header or URL,
+    too many redirects, ...) and other 4xx responses raise
+    ``BackendUnavailableError`` at once.  The endpoint must be an
+    ``http://`` or ``https://`` URL.
     """
 
     def __init__(self, endpoint: str, model: str = "gpt-4o",
-                 temperature: float | None = None, timeout: float = 60.0,
-                 max_retries: int = 3, backoff: float = 0.5,
                  token_env: str = "STMRNAV_API_TOKEN", sleep=time.sleep):
         url = urlsplit(endpoint)
         if url.scheme not in ("http", "https") or not url.netloc:
@@ -365,10 +369,6 @@ class RemoteBackend:
                 f"remote endpoint must be an http(s) URL, got {endpoint!r}")
         self.endpoint = endpoint
         self.model = model
-        self.temperature = temperature
-        self.timeout = timeout
-        self.max_retries = max_retries
-        self.backoff = backoff
         self.token_env = token_env
         self._sleep = sleep
 
@@ -377,20 +377,18 @@ class RemoteBackend:
             "model": self.model,
             "messages": [{"role": "user", "content": prompt}],
         }
-        if self.temperature is not None:
-            payload["temperature"] = self.temperature
         headers = {"Content-Type": "application/json"}
         token = os.environ.get(self.token_env)
         if token:
             headers["Authorization"] = f"Bearer {token}"
 
         last_error = None
-        for attempt in range(self.max_retries):
+        for attempt in range(_ATTEMPTS):
             if attempt:
-                self._sleep(self.backoff * (2 ** (attempt - 1)))
+                self._sleep(_BACKOFF_S * (2 ** (attempt - 1)))
             try:
                 resp = requests.post(self.endpoint, json=payload,
-                                     headers=headers, timeout=self.timeout)
+                                     headers=headers, timeout=_TIMEOUT_S)
             except _RETRYABLE as exc:
                 last_error = str(exc)
                 continue
@@ -414,8 +412,8 @@ class RemoteBackend:
                     f"malformed completion payload: {exc}",
                     raw=resp.text[:2000]) from exc
         raise BackendUnavailableError(
-            f"no response after {self.max_retries} attempts: {last_error}",
-            attempts=self.max_retries, last_error=last_error)
+            f"no response after {_ATTEMPTS} attempts: {last_error}",
+            attempts=_ATTEMPTS, last_error=last_error)
 
 
 def backend_factory(spec: str, seed: int = 0):

@@ -226,31 +226,22 @@ def parse_matrix(text: str, cell_metric: float = 5.0) -> StmrMatrix:
 # alternative encoders
 # ---------------------------------------------------------------------------
 
-def encode_topo(captions, adjacency) -> str:
-    """Place-graph text: one caption line per place, then connectivity.
+def encode_topo(captions) -> str:
+    """Place-chain text: one caption line per place, then connectivity.
 
-    ``captions`` maps place index order (list position) to description;
-    ``adjacency`` maps place index to its neighbor indices.  Each
-    place's sentence lists all its neighbors, but a sentence is emitted
-    only when it introduces at least one edge not already stated, so a
-    chain of three places produces two sentences, not three.
+    ``captions`` lists the places in the order they were visited, and
+    each place connects to the one before and the one after it.  Each
+    edge is stated once, so a chain of three places produces two
+    sentences: place 0's, and place 1's naming both its neighbours.
     """
     captions = list(captions)
     if not captions:
         raise ValueError("need at least one place")
     lines = [f"Place {i}: {cap}" for i, cap in enumerate(captions)]
-    stated: set[frozenset] = set()
-    for i in range(len(captions)):
-        neighbors = [j for j in adjacency.get(i, ()) if j != i]
-        if not neighbors:
-            continue
-        edges = [frozenset((i, j)) for j in neighbors]
-        if all(e in stated for e in edges):
-            continue
-        stated.update(edges)
-        noun = "Places" if len(neighbors) > 1 else "Place"
-        listed = ", ".join(str(j) for j in neighbors)
-        lines.append(f"Place {i} is connected with {noun} {listed}")
+    if len(captions) > 1:
+        lines.append("Place 0 is connected with Place 1")
+    lines += [f"Place {i} is connected with Places {i - 1}, {i + 1}"
+              for i in range(1, len(captions) - 1)]
     return "\n".join(lines)
 
 

@@ -31,7 +31,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .errors import SceneParseError
+from .errors import SceneParseError, read_text
 from .geometry import (
     FORWARD_MOUNT,
     CameraIntrinsics,
@@ -251,8 +251,7 @@ def parse_scene(text: str) -> Scene:
 
 
 def load_scene(path) -> Scene:
-    with open(path, "r", encoding="utf-8") as f:
-        return parse_scene(f.read())
+    return parse_scene(read_text(path))
 
 
 def parse_episode(text: str) -> Episode:
@@ -330,8 +329,7 @@ def parse_episode(text: str) -> Episode:
 
 
 def load_episode(path) -> Episode:
-    with open(path, "r", encoding="utf-8") as f:
-        return parse_episode(f.read())
+    return parse_episode(read_text(path))
 
 
 # ---------------------------------------------------------------------------

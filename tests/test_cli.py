@@ -25,6 +25,7 @@ except ModuleNotFoundError:  # Python 3.10
 
 from stmrnav import evaluation
 from stmrnav.cli import _CONFIG_KEYS, EXIT_DATA, EXIT_OK, EXIT_USAGE, main
+from stmrnav.planner import STOP_RESPONSE
 
 SCENE_TEXT = """\
 stmr-scene v1
@@ -61,6 +62,9 @@ max_actions 4
 path 2.5 2.5 10.0 0.0 0.0 0.0
 path 2.5 7.5 10.0 0.0 0.0 0.0
 """
+
+# A UTF-16 byte-order mark, a NUL, then "bad": not decodable as UTF-8.
+NOT_UTF8 = bytes.fromhex("fffe00626164")
 
 
 def write_episode(path, eid, gx=12.5, gy=12.5, gz=5.0):
@@ -279,6 +283,51 @@ class TestRun:
         assert code == EXIT_DATA
         assert "cannot read config" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("bad, prefix", [
+        ("scene", "data error: "),
+        ("episode", "data error: "),
+        ("script", "data error: "),
+        ("config", "cannot read config: "),
+    ], ids=["scene", "episode", "script", "config"])
+    def test_file_that_is_not_utf8_is_a_data_error(self, data_dir, capsys,
+                                                   bad, prefix):
+        paths = {"scene": data_dir / "riverside.scene",
+                 "episode": data_dir / "eps" / "ep_a.episode",
+                 "script": data_dir / "script.txt",
+                 "config": data_dir / "loop.json"}
+        paths["script"].write_text(STOP_RESPONSE,
+                                   encoding="utf-8")
+        paths["config"].write_text("{}", encoding="utf-8")
+        paths[bad].write_bytes(NOT_UTF8)
+        out = data_dir / "out"
+        code = run_cli("run", "--scene", str(paths["scene"]),
+                       "--episodes", str(paths["episode"]),
+                       "--backend", f"scripted:{paths['script']}",
+                       "--config", str(paths["config"]), "--out", str(out))
+        err = capsys.readouterr().err
+        assert code == EXIT_DATA
+        assert err.startswith(prefix)
+        assert "not valid UTF-8" in err and str(paths[bad]) in err
+        assert err.count("\n") == 1 and "Traceback" not in err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("script", [NOT_UTF8, None],
+                             ids=["not-utf8", "missing"])
+    def test_unreadable_per_episode_script_fails_the_run(self, data_dir,
+                                                         capsys, script):
+        scripts = data_dir / "scripts"
+        scripts.mkdir()
+        if script is not None:
+            (scripts / "ep_a.txt").write_bytes(script)
+        code = run_cli("run", "--scene", str(data_dir / "riverside.scene"),
+                       "--episodes", str(data_dir / "eps" / "ep_a.episode"),
+                       "--backend", f"scripted:{scripts}")
+        err = capsys.readouterr().err
+        assert code == EXIT_DATA
+        assert err.startswith("run failed: ")
+        assert str(scripts / "ep_a.txt") in err
+        assert err.count("\n") == 1 and "Traceback" not in err
+
 
 class TestValidate:
     def test_clean_files_report_zero_violations(self, data_dir, capsys):
@@ -322,6 +371,17 @@ class TestValidate:
         out = capsys.readouterr().out
         assert str(broken) in out
         assert out.strip().endswith("1 violations")
+
+    def test_file_that_is_not_utf8_is_flagged(self, data_dir, capsys):
+        bad = data_dir / "garbled.episode"
+        bad.write_bytes(NOT_UTF8)
+        code = run_cli("validate", str(data_dir / "riverside.scene"),
+                       str(bad))
+        assert code == EXIT_DATA
+        out = capsys.readouterr().out
+        assert out.startswith(f"{bad}: unreadable (")
+        assert "not valid UTF-8" in out
+        assert out.endswith("\n1 violations\n")
 
     def test_episodes_without_a_scene_skip_bounds_checks(self, data_dir,
                                                          capsys):

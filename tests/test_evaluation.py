@@ -21,7 +21,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from stmrnav import evaluation
-from stmrnav.errors import PerceptionBackendError, TemplateError
+from stmrnav.errors import StmrNavError, TemplateError
 from stmrnav.evaluation import (
     EpisodeResult,
     LoopConfig,
@@ -384,7 +384,7 @@ class TestRunEpisode:
                                                          ep_north):
         class FailingPerceptor:
             def perceive(self, depth, semantic):
-                raise PerceptionBackendError("camera unplugged")
+                raise StmrNavError("camera unplugged")
 
         result = run_episode(wall_scene, ep_north,
                              ScriptedBackend([STOP_RESPONSE]),

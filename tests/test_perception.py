@@ -14,7 +14,6 @@ from hypothesis import strategies as st
 
 from stmrnav.errors import (
     LabelError,
-    PerceptionBackendError,
     UndefinedSimilarityError,
 )
 from stmrnav.perception import (
@@ -72,21 +71,6 @@ class TestExtractLandmarks:
     def test_empty_instruction_is_rejected(self):
         with pytest.raises(ValueError):
             extract_landmarks("   ")
-
-    def test_custom_extractor_wins(self):
-        got = extract_landmarks("whatever", extractor=lambda t: ["Dock ",
-                                                                 "dock"])
-        assert got == ["dock"]
-
-    def test_extractor_failure_surfaces_as_backend_error(self):
-        def broken(text):
-            raise RuntimeError("model offline")
-        with pytest.raises(PerceptionBackendError, match="model offline"):
-            extract_landmarks("head north", extractor=broken)
-
-    def test_extractor_returning_garbage_is_rejected(self):
-        with pytest.raises(PerceptionBackendError, match="non-list"):
-            extract_landmarks("head north", extractor=lambda t: "road")
 
 
 class TestTfidfSimilarity:
@@ -254,15 +238,6 @@ class TestDegradedOraclePerceptor:
         degraded = DegradedOraclePerceptor(LEGEND, drop_rate=0.0, seed=1)
         assert [m.caption for m in degraded.perceive(depth, semantic)] == \
             ["building"]
-
-    def test_corruption_replaces_the_caption(self):
-        semantic = np.zeros((4, 4), dtype=np.int64)
-        semantic[1:3, 1:3] = 2
-        depth = np.ones_like(semantic, dtype=float)
-        degraded = DegradedOraclePerceptor(LEGEND, drop_rate=0.0,
-                                           corrupt_rate=1.0, seed=1)
-        assert [m.caption for m in degraded.perceive(depth, semantic)] == \
-            ["unidentified object"]
 
     def test_rates_outside_unit_interval_are_rejected(self):
         with pytest.raises(ValueError):

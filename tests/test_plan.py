@@ -5,7 +5,6 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from stmrnav.errors import PlanningBackendError
 from stmrnav.plan import (
     COMPLETED,
     IN_PROCESS,
@@ -85,22 +84,6 @@ class TestDecomposeInstruction:
         assert plan.pointer == 0
         assert plan.current().text == "head to the road"
         assert not plan.exhausted
-
-    def test_custom_decomposer_is_used(self):
-        plan = decompose_instruction(
-            "ignored", extractor=lambda t: ["go to the river", "stop"])
-        assert [sg.text for sg in plan.subgoals] == ["go to the river",
-                                                     "stop"]
-
-    def test_decomposer_failure_is_a_backend_error(self):
-        def broken(text):
-            raise RuntimeError("no tokens left")
-        with pytest.raises(PlanningBackendError, match="no tokens left"):
-            decompose_instruction("head north", extractor=broken)
-
-    def test_decomposer_returning_nothing_is_rejected(self):
-        with pytest.raises(PlanningBackendError, match="no sub-goals"):
-            decompose_instruction("head north", extractor=lambda t: ["  "])
 
     def test_empty_instruction_is_rejected(self):
         with pytest.raises(ValueError):

@@ -376,20 +376,12 @@ class TestRemoteBackend:
             {"role": "user", "content": "fly"}]
         assert "temperature" not in req["payload"]
 
-    def test_temperature_is_sent_only_when_configured(self):
-        with _ScriptedHttpServer([(200, completion_body("ok"))]) as server:
-            backend = RemoteBackend(endpoint=server.endpoint,
-                                    temperature=0.2, sleep=lambda s: None)
-            backend.complete("p")
-        assert server.requests[0]["payload"]["temperature"] == 0.2
-
     def test_server_errors_are_retried_with_backoff(self):
         sleeps = []
         script = [(500, "boom"), (429, "slow down"),
                   (200, completion_body("recovered"))]
         with _ScriptedHttpServer(script) as server:
             backend = RemoteBackend(endpoint=server.endpoint,
-                                    max_retries=3, backoff=0.5,
                                     sleep=sleeps.append)
             assert backend.complete("p") == "recovered"
         assert len(server.requests) == 3
@@ -399,7 +391,7 @@ class TestRemoteBackend:
         script = [(503, "down")] * 3
         with _ScriptedHttpServer(script) as server:
             backend = RemoteBackend(endpoint=server.endpoint,
-                                    max_retries=3, sleep=lambda s: None)
+                                    sleep=lambda s: None)
             with pytest.raises(BackendUnavailableError) as err:
                 backend.complete("p")
         assert err.value.attempts == 3
@@ -409,7 +401,7 @@ class TestRemoteBackend:
     def test_client_errors_fail_fast_without_retry(self):
         with _ScriptedHttpServer([(400, "bad request")]) as server:
             backend = RemoteBackend(endpoint=server.endpoint,
-                                    max_retries=3, sleep=lambda s: None)
+                                    sleep=lambda s: None)
             with pytest.raises(BackendUnavailableError) as err:
                 backend.complete("p")
         assert err.value.attempts == 1
@@ -426,11 +418,11 @@ class TestRemoteBackend:
         probe = _ScriptedHttpServer([])
         dead_endpoint = probe.endpoint
         probe.server.server_close()     # free the port without serving
-        backend = RemoteBackend(endpoint=dead_endpoint, max_retries=2,
+        backend = RemoteBackend(endpoint=dead_endpoint,
                                 sleep=lambda s: None)
         with pytest.raises(BackendUnavailableError) as err:
             backend.complete("p")
-        assert err.value.attempts == 2
+        assert err.value.attempts == 3
 
     def test_broken_response_bodies_are_retried(self, monkeypatch):
         # neither a Timeout nor a ConnectionError, but a transport fault
@@ -447,7 +439,7 @@ class TestRemoteBackend:
 
         monkeypatch.setattr(requests, "post", post)
         backend = RemoteBackend(endpoint="http://localhost:1/v1",
-                                max_retries=3, sleep=lambda s: None)
+                                sleep=lambda s: None)
         assert backend.complete("p") == "back"
         failures.extend(
             [requests.exceptions.ChunkedEncodingError("dropped")] * 3)
@@ -474,7 +466,7 @@ class TestRemoteBackend:
 
         monkeypatch.setattr(requests, "post", post)
         backend = RemoteBackend(endpoint="http://localhost:1/v1",
-                                max_retries=3, sleep=sleeps.append)
+                                sleep=sleeps.append)
         with pytest.raises(BackendUnavailableError) as err:
             backend.complete("p")
         assert (len(calls), sleeps) == (1, [])
@@ -486,7 +478,7 @@ class TestRemoteBackend:
         monkeypatch.setenv("STMRNAV_API_TOKEN", "sekrit\nX-Injected: 1")
         sleeps = []
         with _ScriptedHttpServer([(200, completion_body("no"))]) as server:
-            backend = RemoteBackend(endpoint=server.endpoint, max_retries=3,
+            backend = RemoteBackend(endpoint=server.endpoint,
                                     sleep=sleeps.append)
             with pytest.raises(BackendUnavailableError) as err:
                 backend.complete("p")

@@ -321,8 +321,7 @@ class TestEncodeTopo:
     def test_chain_of_three_yields_two_connection_lines(self):
         text = encode_topo(
             ["grass at cell (0, 0)", "road at cell (1, 0)",
-             "road at cell (2, 0)"],
-            {0: [1], 1: [0, 2], 2: [1]})
+             "road at cell (2, 0)"])
         assert text == (
             "Place 0: grass at cell (0, 0)\n"
             "Place 1: road at cell (1, 0)\n"
@@ -331,12 +330,12 @@ class TestEncodeTopo:
             "Place 1 is connected with Places 0, 2")
 
     def test_isolated_place_has_no_connection_line(self):
-        text = encode_topo(["a lone tower"], {})
+        text = encode_topo(["a lone tower"])
         assert text == "Place 0: a lone tower"
 
     def test_needs_at_least_one_place(self):
         with pytest.raises(ValueError):
-            encode_topo([], {})
+            encode_topo([])
 
 
 class TestEncodeMetric:

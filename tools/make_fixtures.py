@@ -2,10 +2,12 @@
 
 Run from the repository root:
 
-    python3 tools/make_fixtures.py
+    PYTHONPATH=src python3 tools/make_fixtures.py
 
 The outputs under src/stmrnav/fixtures/ are committed; this script
-exists so they can be audited and rebuilt deterministically.  Episodes
+exists so they can be audited and rebuilt deterministically, and
+``fixture_texts()`` returns them without writing, so a test can check
+the committed files against it.  Episodes
 are authored as action sequences and simulated with the real motion
 model, so each episode's goal and path are exactly what replaying its
 script produces.  The script asserts every authored action is
@@ -19,9 +21,10 @@ import os
 
 import numpy as np
 
+from stmrnav.evaluation import LoopConfig
+from stmrnav.geometry import UavPose
 from stmrnav.planner import Action, serialize_action
 from stmrnav.world import apply_action, parse_scene
-from stmrnav.geometry import UavPose
 
 HERE = os.path.dirname(os.path.abspath(__file__))
 FIXTURES = os.path.normpath(
@@ -29,7 +32,7 @@ FIXTURES = os.path.normpath(
 
 N = 120          # cells per side
 CS = 5.0         # meters per cell
-MARGIN = 0.5     # must match the evaluation default
+MARGIN = LoopConfig().margin
 
 NORTH = math.pi / 2
 EAST = 0.0
@@ -211,27 +214,30 @@ def script_text(actions) -> str:
     return "\n===\n".join(responses) + "\n"
 
 
-def main() -> None:
-    os.makedirs(os.path.join(FIXTURES, "scripts"), exist_ok=True)
+def fixture_texts() -> dict[str, str]:
+    """Every fixture file's text, keyed by its ``/``-separated path
+    relative to the fixtures directory."""
     scene_text = build_scene_text()
     scene = parse_scene(scene_text)
-    with open(os.path.join(FIXTURES, "riverside.scene"), "w",
-              encoding="utf-8", newline="") as f:
-        f.write(scene_text)
-
+    texts = {"riverside.scene": scene_text}
     for episode_id, instruction, start, actions in EPISODES:
         path, length = simulate(scene, episode_id, start, actions)
         assert 50.0 <= length <= 500.0, (episode_id, length)
         goal = (path[-1].x, path[-1].y, path[-1].z)
         max_actions = len(actions) + 1 + 10
-        with open(os.path.join(FIXTURES, f"{episode_id}.episode"), "w",
-                  encoding="utf-8", newline="") as f:
-            f.write(episode_text(episode_id, instruction, path, goal,
-                                 max_actions))
-        with open(os.path.join(FIXTURES, "scripts", f"{episode_id}.txt"),
-                  "w", encoding="utf-8", newline="") as f:
-            f.write(script_text(actions))
-        print(f"{episode_id}: {len(actions) + 1} steps, {length:.1f} m")
+        texts[f"{episode_id}.episode"] = episode_text(
+            episode_id, instruction, path, goal, max_actions)
+        texts[f"scripts/{episode_id}.txt"] = script_text(actions)
+    return texts
+
+
+def main() -> None:
+    for rel, text in fixture_texts().items():
+        out = os.path.join(FIXTURES, *rel.split("/"))
+        os.makedirs(os.path.dirname(out), exist_ok=True)
+        with open(out, "w", encoding="utf-8", newline="") as f:
+            f.write(text)
+        print(f"wrote {rel}")
 
 
 if __name__ == "__main__":
