@@ -12,22 +12,23 @@ x-cells (east) and j counts y-cells (north); data row k of a scene file
 covers the y band [k*cell_size, (k+1)*cell_size).  The scene occupies
 [0, nx*cell_size) x [0, ny*cell_size) in world coordinates.
 
-Rendering marches every pixel ray through the grid with the
-Amanatides-Woo traversal, vectorized across rays: each step advances
-every ray still in flight by one cell, and a ray leaves the working set
-as soon as it hits, leaves the scene, passes the range limit, or can no
-longer come down to any surface.  Ray directions are left unnormalized
-at ((u-cx)/fx, (v-cy)/fy, 1) in the camera frame so the hit parameter t
-is exactly the planar depth stored in the depth image: back-projecting
-a rendered pixel with its stored depth reproduces the surface point
-that was hit.
+Rendering first drops the pixel rays that a max-height pyramid of the
+scene proves cannot reach any surface, then marches the rest through the
+grid with the Amanatides-Woo traversal, vectorized across rays: each
+step advances every ray still in flight by one cell, and a ray leaves
+the working set as soon as it hits, leaves the scene, passes the range
+limit, or can no longer come down to any surface.  Ray directions are
+left unnormalized at ((u-cx)/fx, (v-cy)/fy, 1) in the camera frame so
+the hit parameter t is exactly the planar depth stored in the depth
+image: back-projecting a rendered pixel with its stored depth reproduces
+the surface point that was hit.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from functools import cached_property
+from functools import cached_property, lru_cache
 
 import numpy as np
 
@@ -41,6 +42,11 @@ from .geometry import (
 from .planner import Action
 
 _MISS_EPS = 1e-12
+_T_MAX = float(np.finfo(np.float64).max)
+# The ends of the four equal pieces of a ray's span in the miss test.
+_QUARTERS = np.linspace(0.0, 1.0, 5)[:, None]
+# Relative slack of the miss test over the rounding in z and hit times.
+_CLEAR_SLACK = 1e-6
 
 
 @dataclass(frozen=True)
@@ -74,13 +80,38 @@ class Scene:
     def _march_grids(self):
         """What ``march_rays`` reads of the scene, built on first use: the
         height, label, canopy-underside and inside grids, flattened with a
-        one-cell border, and the tallest cell top."""
-        return (_padded(self.height, 0.0),
-                _padded(self.label, 0),
+        one-cell border and one trailing sink cell, and the tallest cell
+        top.  The sink (height NaN, label 0, no canopy, not inside) is
+        where the walk parks rays that have finished: no hit test can
+        fire there."""
+        return (_padded(self.height, 0.0, np.nan),
+                _padded(self.label, 0, 0),
                 _padded(np.where(self.clearance > 0, self.clearance,
-                                 -np.inf), -np.inf),
-                _padded(np.ones(self.height.shape, dtype=bool), False),
+                                 -np.inf), -np.inf, -np.inf),
+                _padded(np.ones(self.height.shape, dtype=bool), False,
+                        False),
                 self.height.max())
+
+    @cached_property
+    def _height_pyramid(self):
+        """Max-height pyramid for ``march_rays``' miss test, built on first
+        use.  Level l holds the max of ``max(height, 0)`` over each
+        2^l x 2^l block of cells, down to one block; returns the levels
+        flattened one after another, each level's offset and its width in
+        blocks."""
+        level = np.maximum(self.height, 0.0)
+        levels = [level]
+        while level.size > 1:
+            ny, nx = level.shape
+            even = np.zeros((ny + ny % 2, nx + nx % 2))
+            even[:ny, :nx] = level
+            level = even.reshape(even.shape[0] // 2, 2,
+                                 even.shape[1] // 2, 2).max(axis=(1, 3))
+            levels.append(level)
+        sizes = [lv.size for lv in levels]
+        return (np.concatenate([lv.ravel() for lv in levels]),
+                np.cumsum([0] + sizes[:-1]),
+                np.array([lv.shape[1] for lv in levels]))
 
 
 @dataclass(frozen=True)
@@ -115,6 +146,14 @@ def significant_lines(text: str):
         if not line or line.startswith("#"):
             continue
         yield n, line
+
+
+def _number(caster, text, line, fieldname):
+    """``caster(text)``, or a SceneParseError naming the line and field."""
+    try:
+        return caster(text)
+    except ValueError as exc:
+        raise SceneParseError(str(exc), line=line, field=fieldname) from exc
 
 
 def _parse_grid(lines, idx, nrows, ncols, caster, fieldname):
@@ -162,7 +201,7 @@ def parse_scene(text: str) -> Scene:
             if len(parts) != 2:
                 raise SceneParseError("cell_size takes one value",
                                       line=n, field="cell_size")
-            cell_size = float(parts[1])
+            cell_size = _number(float, parts[1], n, "cell_size")
             if not (math.isfinite(cell_size) and cell_size > 0):
                 raise SceneParseError("cell_size must be positive",
                                       line=n, field="cell_size")
@@ -170,7 +209,7 @@ def parse_scene(text: str) -> Scene:
             if len(parts) != 3:
                 raise SceneParseError("legend takes an id and a name",
                                       line=n, field="legend")
-            lid = int(parts[1])
+            lid = _number(int, parts[1], n, "legend")
             if lid < 1:
                 raise SceneParseError("legend ids start at 1",
                                       line=n, field="legend")
@@ -182,7 +221,7 @@ def parse_scene(text: str) -> Scene:
             if len(parts) != 3:
                 raise SceneParseError(f"{key} takes nrows and ncols",
                                       line=n, field=key)
-            nrows, ncols = int(parts[1]), int(parts[2])
+            nrows, ncols = (_number(int, p, n, key) for p in parts[1:])
             if nrows < 1 or ncols < 1:
                 raise SceneParseError("grid dimensions must be positive",
                                       line=n, field=key)
@@ -203,7 +242,7 @@ def parse_scene(text: str) -> Scene:
             if len(parts) != 2:
                 raise SceneParseError("under_label takes one id",
                                       line=n, field="under_label")
-            under_label = int(parts[1])
+            under_label = _number(int, parts[1], n, "under_label")
         else:
             raise SceneParseError(f"unknown directive {key!r}", line=n)
 
@@ -298,9 +337,12 @@ def parse_episode(text: str) -> Episode:
             parts = rest.split()
             if len(parts) != 3:
                 raise SceneParseError("goal takes x y z", line=n, field="goal")
-            goal = np.array([float(p) for p in parts])
+            goal = np.array([_number(float, p, n, "goal") for p in parts])
+            if not np.isfinite(goal).all():
+                raise SceneParseError("goal must be finite", line=n,
+                                      field="goal")
         elif key == "max_actions":
-            max_actions = int(rest)
+            max_actions = _number(int, rest, n, "max_actions")
             if max_actions < 1:
                 raise SceneParseError("max_actions must be positive",
                                       line=n, field="max_actions")
@@ -351,12 +393,45 @@ def _slab_interval(o: float, d: np.ndarray, lo: float, hi: float,
     t1[~inside] = -np.inf
 
 
-def _padded(grid: np.ndarray, fill) -> np.ndarray:
-    """Flatten ``grid`` with a one-cell border of ``fill`` on every side."""
+def _padded(grid: np.ndarray, fill, sink) -> np.ndarray:
+    """Flatten ``grid`` with a one-cell border of ``fill`` on every side,
+    then one trailing ``sink`` value."""
     out = np.full((grid.shape[0] + 2, grid.shape[1] + 2), fill,
                   dtype=grid.dtype)
     out[1:-1, 1:-1] = grid
-    return out.ravel()
+    return np.append(out.ravel(), np.array(sink, dtype=grid.dtype))
+
+
+def _proven_misses(scene: Scene, origin: np.ndarray, dirs: np.ndarray,
+                   t_enter: np.ndarray, t_exit: np.ndarray) -> np.ndarray:
+    """Which rays provably hit nothing between ``t_enter`` and ``t_exit``.
+
+    ``dirs`` is (3, m).  Each ray's span is cut into four equal pieces.
+    A piece's xy box, widened by one cell to cover rounding in where the
+    walk places the ray, is looked up in the max-height pyramid at the
+    level where it spans at most 2 x 2 blocks.  Every hit test needs
+    z <= the cell's height somewhere inside the cell (the ground under a
+    canopy is z = 0), so a ray whose lowest z on every piece clears that
+    piece's max by more than the rounding in z and in the hit times
+    cannot hit.  NaN anywhere keeps the ray.
+    """
+    values, offsets, widths = scene._height_pyramid
+    t = t_enter + (t_exit - t_enter) * _QUARTERS
+    t[-1] = t_exit
+    # x, y, z at the piece ends, rounded as the walk rounds them
+    pos = origin[:, None, None] + dirs[:, None, :] * t
+    cells = np.floor(pos[:2] / scene.cell_size).astype(np.int64)
+    last = np.array([[[scene.nx - 1]], [[scene.ny - 1]]])
+    lo = np.clip(np.minimum(cells[:, :-1], cells[:, 1:]) - 1, 0, last)
+    hi = np.clip(np.maximum(cells[:, :-1], cells[:, 1:]) + 1, 0, last)
+    # the least l with hi >> l <= (lo >> l) + 1 on both axes
+    level = np.frexp(np.maximum((hi - lo).max(axis=0) - 1, 0))[1]
+    blocks = np.stack([lo, hi]) >> level
+    peak = values[offsets[level] + blocks[:, None, 1] * widths[level]
+                  + blocks[None, :, 0]].max(axis=(0, 1))
+    z = pos[2]
+    margin = _CLEAR_SLACK * (1.0 + abs(origin[2]) + np.abs(dirs[2]) * t[1:])
+    return (np.minimum(z[:-1], z[1:]) > peak + margin).all(axis=0)
 
 
 def march_rays(scene: Scene, origin: np.ndarray, dirs: np.ndarray,
@@ -367,15 +442,21 @@ def march_rays(scene: Scene, origin: np.ndarray, dirs: np.ndarray,
     in units of each direction vector, clipped at ``t_limit``.  Returns
     (t_hit, hit_label), both (N,).  Misses carry t_hit = 0 and label 0.
 
-    Every ray that enters the scene walks the grid cell by cell
-    (Amanatides-Woo).  The walk is vectorized across rays and carries
-    only the rays still in flight: their state is packed into one float
-    and one index array, compacted after each step, and a ray drops out
-    once it hits, steps off the grid, passes ``t_limit``, or is not
-    descending and already above the tallest cell.  The canopy tests run
-    only on steps where some live ray is over a cell with positive
-    clearance.  Each ray goes through the same floating-point operations
-    whatever other rays are traced with it.
+    No ray walks that provably misses: one that starts above every cell
+    top and does not descend, or one that clears every cell near its
+    path in a max-height pyramid of the scene (``_proven_misses``, run
+    on every ray but those that come down to the ground before they
+    leave, which hit).  Every other ray that enters the scene walks the
+    grid cell by cell (Amanatides-Woo), vectorized across rays: its
+    state is packed into one float and one index array.  A ray finishes once it hits, steps off the grid,
+    passes ``t_limit``, or is not descending and already above the
+    tallest cell.  A finished ray is parked on the grids' sink cell,
+    where no hit test fires and its cell steps are 0; the arrays are
+    compacted to the live rays only when fewer than half of their
+    columns are live.  The canopy tests run only on steps where some
+    live ray is over a cell with positive clearance.  Each ray goes
+    through the same floating-point operations whatever other rays are
+    traced with it.
     """
     dirs = np.asarray(dirs, dtype=np.float64)
     n = dirs.shape[0]
@@ -388,10 +469,24 @@ def march_rays(scene: Scene, origin: np.ndarray, dirs: np.ndarray,
     hit_label = np.zeros(n, dtype=np.int64)
 
     t_enter = np.zeros(n)
-    t_exit = np.full(n, float(t_limit))
+    # A finite exit keeps every hit time the walk can accept finite; no
+    # finite hit time lies beyond the largest float.
+    t_exit = np.full(n, min(float(t_limit), _T_MAX))
     _slab_interval(ox, dx, 0.0, ext_x, t_enter, t_exit)
     _slab_interval(oy, dy, 0.0, ext_y, t_enter, t_exit)
-    active = t_enter < t_exit
+    height, label, canopy_lo, inside, top = scene._march_grids
+    # z never falls along a ray with dz >= 0, so from above every cell
+    # top such a ray cannot hit.
+    active = (t_enter < t_exit) & ~((dz >= 0) & (oz > top))
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        t_g = np.where(dz != 0, -oz / dz, np.inf)
+        # A ray that comes down to the ground before it leaves hits.
+        test = np.nonzero(active & ~((dz < 0) & (t_g < t_exit)))[0]
+        if test.size:
+            miss = _proven_misses(scene, np.array([ox, oy, oz]),
+                                  np.ascontiguousarray(dirs[test].T),
+                                  t_enter[test], t_exit[test])
+            active[test[miss]] = False
     if not active.any():
         return t_hit, hit_label
 
@@ -413,44 +508,50 @@ def march_rays(scene: Scene, origin: np.ndarray, dirs: np.ndarray,
         t_max_y = np.where(ady != 0, te + (next_y - py) / ady, np.inf)
         t_delta_x = np.where(adx != 0, cs / np.abs(adx), np.inf)
         t_delta_y = np.where(ady != 0, cs / np.abs(ady), np.inf)
-        t_g = np.where(adz != 0, -oz / adz, np.inf)
 
     row = scene.nx + 2
-    height, label, canopy_lo, inside, top = scene._march_grids
+    sink = height.size - 1
     # From the first step on t never decreases, and with it (rounding is
     # monotone) neither does z along a ray with adz >= 0: once such a ray
     # is above every cell top, no hit test can fire for it again.
     z_cap = np.where(adz >= 0, top, np.inf)
+    # NaN unless descending, so the top-of-band test fails for the rest
+    adz_down = np.where(adz < 0, adz, np.nan)
 
     rays = np.stack([te, oz + adz * te, t_max_x, t_max_y, t_delta_x,
-                     t_delta_y, adz, tx, tx - _MISS_EPS, z_cap, t_g])
+                     t_delta_y, adz, adz_down, tx, tx - _MISS_EPS, z_cap,
+                     t_g[idx]])
     # flat cell index, its change per x and per y step, output row
     cells = np.stack([(iy + 1) * row + ix + 1, step_x, step_y * row, idx])
+    live = idx.size
     inf = np.inf
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         for _ in range(scene.nx + scene.ny + 4):
-            if not rays.shape[1]:
+            if not live:
                 break
-            (t_cur, z0, t_max_x, t_max_y, t_delta_x, t_delta_y, adz, tx,
-             tx_eps, z_cap, t_g) = rays
+            (t_cur, z0, t_max_x, t_max_y, t_delta_x, t_delta_y, adz,
+             adz_down, tx, tx_eps, z_cap, t_g) = rays
             cell, step_x, step_y, rows = cells
             hi = height[cell]
             pick_x = t_max_x <= t_max_y
             t_next = np.where(pick_x, t_max_x, t_max_y)
             t1 = np.minimum(t_next, tx)
+            # descending onto the top of the band
+            t_top = (hi - oz) / adz_down
             lo = canopy_lo[cell]
-            canopy = lo > -inf
-            # descending onto the top of the band (the sign tests mask
-            # the quotients of rays with adz == 0)
-            t_top = (hi - oz) / adz
-            c2 = np.where((adz < 0) & (z0 > hi) & (t_top <= t1), t_top, inf)
-            under = None
-            if not canopy.any():
-                # entered the cell already inside the occupied band
-                c1 = np.where(z0 <= hi, t_cur, inf)
-                t_best = np.minimum(c1, c2)
+            if lo.max() == -inf:
+                # entered the cell already inside the occupied band; the
+                # two tests exclude each other, as z0 > hi when it fails
+                inband = z0 <= hi
+                hit = inband | (t_top <= t1)
+                if hit.any():
+                    hit_rows = rows[hit]
+                    t_hit[hit_rows] = np.where(inband, t_cur, t_top)[hit]
+                    hit_label[hit_rows] = label[cell[hit]]
             else:
+                canopy = lo > -inf
                 c1 = np.where((z0 >= lo) & (z0 <= hi), t_cur, inf)
+                c2 = np.where((z0 > hi) & (t_top <= t1), t_top, inf)
                 # ascending into the underside of an elevated band
                 t_bot = (lo - oz) / adz
                 c3 = np.where(canopy & (adz > 0) & (z0 < lo) & (t_bot <= t1),
@@ -462,14 +563,12 @@ def march_rays(scene: Scene, origin: np.ndarray, dirs: np.ndarray,
                 # strict, as argmin over (c1, c2, c3, c4) keeps the first
                 under = c4 < t_best
                 t_best = np.minimum(t_best, c4)
-            hit = np.isfinite(t_best)
-            if hit.any():
-                hit_rows = rows[hit]
-                t_hit[hit_rows] = t_best[hit]
-                labels = label[cell[hit]]
-                if under is not None:
-                    labels = np.where(under[hit], scene.under_label, labels)
-                hit_label[hit_rows] = labels
+                hit = np.isfinite(t_best)
+                if hit.any():
+                    hit_rows = rows[hit]
+                    t_hit[hit_rows] = t_best[hit]
+                    hit_label[hit_rows] = np.where(
+                        under[hit], scene.under_label, label[cell[hit]])
 
             np.add(t_max_x, t_delta_x, out=t_max_x, where=pick_x)
             np.add(t_max_y, t_delta_y, out=t_max_y, where=~pick_x)
@@ -478,11 +577,31 @@ def march_rays(scene: Scene, origin: np.ndarray, dirs: np.ndarray,
             np.multiply(adz, t_next, out=z0)
             z0 += oz
             keep = (t_next < tx_eps) & inside[cell] & ~(hit | (z0 > z_cap))
-            if not keep.all():
-                rays = rays[:, keep]
-                cells = cells[:, keep]
+            n_keep = np.count_nonzero(keep)
+            if n_keep < live:
+                live = n_keep
+                if 2 * live < keep.size:
+                    kept = np.flatnonzero(keep)
+                    rays = rays.take(kept, axis=1)
+                    cells = cells.take(kept, axis=1)
+                else:
+                    np.copyto(cell, sink, where=~keep)
+                    cells[1:3] *= keep
 
     return t_hit, hit_label
+
+
+@lru_cache(maxsize=8)
+def _camera_rays(k: CameraIntrinsics) -> np.ndarray:
+    """Read-only (height*width, 3) camera-frame ray of every pixel, row by
+    row, as ((u-cx)/fx, (v-cy)/fy, 1)."""
+    uu, vv = np.meshgrid(np.arange(k.width), np.arange(k.height))
+    uu = uu.ravel().astype(np.float64)
+    vv = vv.ravel().astype(np.float64)
+    cam = np.stack([(uu - k.cx) / k.fx, (vv - k.cy) / k.fy,
+                    np.ones_like(uu)], axis=1)
+    cam.flags.writeable = False
+    return cam
 
 
 def render(scene: Scene, pose: UavPose, k: CameraIntrinsics,
@@ -493,13 +612,8 @@ def render(scene: Scene, pose: UavPose, k: CameraIntrinsics,
     The depth image stores planar camera-frame z; pixels with no surface
     within ``max_range`` hold 0 in both images.
     """
-    uu, vv = np.meshgrid(np.arange(k.width), np.arange(k.height))
-    uu = uu.ravel().astype(np.float64)
-    vv = vv.ravel().astype(np.float64)
-    cam = np.stack([(uu - k.cx) / k.fx, (vv - k.cy) / k.fy,
-                    np.ones_like(uu)], axis=1)
     r = camera_to_world_rotation(pose, mount)
-    dirs = cam @ r.T
+    dirs = _camera_rays(k) @ r.T
     t_hit, labels = march_rays(scene, pose.position, dirs, max_range)
     labels = np.where(t_hit > 0, labels, 0)
     depth = t_hit.reshape(k.height, k.width)

@@ -67,6 +67,32 @@ path 2.5 7.5 10.0 0.0 0.0 0.0
 NOT_UTF8 = bytes.fromhex("fffe00626164")
 
 
+# (file, good line, bad line, field named in the error): each bad line
+# must fail at the parser, not as a ValueError from deep inside the run.
+BAD_NUMBERS = [
+    ("scene", "cell_size 5", "cell_size abc", "cell_size"),
+    ("scene", "legend 1 road", "legend x road", "legend"),
+    ("scene", "height 4 4", "height a 4", "height"),
+    ("scene", "under_label 1", "under_label q", "under_label"),
+    ("episode", "goal 12.5 12.5 5.0", "goal 12.5 abc 5.0", "goal"),
+    ("episode", "goal 12.5 12.5 5.0", "goal 12.5 nan 5.0", "goal"),
+    ("episode", "max_actions 4", "max_actions ten", "max_actions"),
+]
+BAD_NUMBER_IDS = [bad for _, _, bad, _ in BAD_NUMBERS]
+
+
+def spoil(data_dir, which, good, bad):
+    """Swap ``good`` for ``bad`` in the scene or ep_a's episode file; return
+    the file and the number of the spoiled line."""
+    path = (data_dir / "riverside.scene" if which == "scene"
+            else data_dir / "eps" / "ep_a.episode")
+    lines = path.read_text(encoding="utf-8").split("\n")
+    line = lines.index(good)
+    lines[line] = bad
+    path.write_text("\n".join(lines), encoding="utf-8")
+    return path, line + 1
+
+
 def write_episode(path, eid, gx=12.5, gy=12.5, gz=5.0):
     path.write_text(EP_TMPL.format(eid=eid, gx=gx, gy=gy, gz=gz),
                     encoding="utf-8")
@@ -135,6 +161,21 @@ class TestRun:
                        str(data_dir / "eps" / "ep_a.episode"))
         assert code == EXIT_DATA
         assert "data error" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("which, good, bad, field", BAD_NUMBERS,
+                             ids=BAD_NUMBER_IDS)
+    def test_bad_number_is_a_data_error(self, data_dir, capsys, which, good,
+                                        bad, field):
+        _, line = spoil(data_dir, which, good, bad)
+        out = data_dir / "out"
+        code = run_cli("run", "--scene", str(data_dir / "riverside.scene"),
+                       "--episodes", str(data_dir / "eps" / "ep_a.episode"),
+                       "--backend", "echo", "--out", str(out))
+        err = capsys.readouterr().err
+        assert code == EXIT_DATA
+        assert err.startswith(f"data error: line {line}: field '{field}': ")
+        assert err.count("\n") == 1 and "Traceback" not in err
+        assert not out.exists()
 
     def test_unmatched_episode_glob_is_a_data_error(self, data_dir,
                                                     capsys):
@@ -371,6 +412,18 @@ class TestValidate:
         out = capsys.readouterr().out
         assert str(broken) in out
         assert out.strip().endswith("1 violations")
+
+    @pytest.mark.parametrize("which, good, bad, field", BAD_NUMBERS,
+                             ids=BAD_NUMBER_IDS)
+    def test_bad_number_is_flagged(self, data_dir, capsys, which, good, bad,
+                                   field):
+        path, line = spoil(data_dir, which, good, bad)
+        code = run_cli("validate", str(data_dir / "riverside.scene"),
+                       str(data_dir / "eps" / "ep_a.episode"))
+        assert code == EXIT_DATA
+        out = capsys.readouterr().out
+        assert out.startswith(f"{path}: line {line}: field '{field}': ")
+        assert out.endswith("\n1 violations\n")
 
     def test_file_that_is_not_utf8_is_flagged(self, data_dir, capsys):
         bad = data_dir / "garbled.episode"

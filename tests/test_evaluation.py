@@ -13,6 +13,7 @@ import hashlib
 import json
 import math
 import os
+import types
 
 import numpy as np
 import pytest
@@ -715,3 +716,17 @@ def test_fixture_suite_matches_the_recorded_digests(scene, episodes):
     results = run_suite(scene, episodes, scripted_factory,
                         config=LoopConfig(mount="forward"))
     assert {r.episode_id: _episode_digest(r) for r in results} == want
+
+
+def test_every_layer_the_benchmark_tracer_wraps_exists():
+    """``perfbench/tracer.py`` times the loop by swapping wrappers in for
+    the layer functions ``stmrnav.evaluation`` looks up by name; a layer
+    renamed or merged away must fail here, not only in a traced
+    benchmark run."""
+    path = os.path.join(os.path.dirname(__file__), os.pardir, "perfbench",
+                        "tracer.py")
+    tracer = types.ModuleType("perfbench_tracer")
+    with open(path, encoding="utf-8") as f:
+        # compiled here, so nothing is written under perfbench/
+        exec(compile(f.read(), path, "exec"), tracer.__dict__)
+    assert tracer.missing_layers(evaluation) == []
