@@ -27,7 +27,6 @@ from stmrnav.stmr import (
     encode_metric,
     encode_topo,
     extract_local_window,
-    parse_matrix,
     pool_to_matrix,
     serialize_matrix,
 )
@@ -79,10 +78,6 @@ def main() -> None:
     print(f"after an in-place half turn with the camera pitched down 30 "
           f"degrees the token is {new_token!r} and {changed} token(s) "
           "changed in total")
-
-    parsed = parse_matrix(text)
-    print(f"\nround trip: parse_matrix returns a {parsed.size}x"
-          f"{parsed.size} matrix, legend {parsed.legend}")
 
     # the same map as a place chain: caption each visited/known cell
     captions = ["grass bank where the flight starts",

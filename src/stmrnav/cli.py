@@ -64,8 +64,8 @@ def _expand_episode_paths(patterns) -> list[str]:
 def _perceptor_factory(spec: str, scene: world.Scene):
     if spec == "oracle":
         return None
-    if spec.startswith("degraded"):
-        parts = spec.split(":")
+    parts = spec.split(":")
+    if parts[0] == "degraded":
         if len(parts) != 3:
             raise ValueError(
                 "degraded perceptor spec is degraded:<drop-rate>:<seed>")
@@ -97,12 +97,15 @@ def cmd_run(args) -> int:
         scene = world.load_scene(args.scene)
         episode_paths = _expand_episode_paths(args.episodes)
         episodes = [world.load_episode(p) for p in episode_paths]
+        first: dict[str, str] = {}      # an id names a trace directory
+        for path, episode in zip(episode_paths, episodes):
+            earlier = first.setdefault(episode.episode_id, path)
+            if earlier != path:
+                raise SceneParseError(f"{path}: id {episode.episode_id!r} "
+                                      f"is already used by {earlier}")
     except (SceneParseError, OSError) as exc:
         print(f"data error: {exc}", file=sys.stderr)
         return EXIT_DATA
-    if not episodes:
-        print("no episodes to run", file=sys.stderr)
-        return EXIT_USAGE
 
     try:
         backend_factory = planner.backend_factory(args.backend, args.seed)

@@ -7,7 +7,8 @@ sub-goal's labels prioritized, cut and pool the matrix, advance the
 plan ledger, build the prompt, query the backend, parse the reply, and
 apply the action with collision clipping.  Every step leaves a full
 trace (prompt, response, matrix, map snapshot, pose) so failures can be
-replayed from text alone.
+replayed from text alone.  The ``topo`` map format's places are the
+distinct map cells of the trajectory flown so far, in first-visit order.
 
 Metrics: navigation error is the 3D distance from the stop position to
 the goal; an episode succeeds only when the agent deliberately stopped
@@ -312,16 +313,9 @@ def _mark_segment(tdmap: TopDownMap, pose_a: UavPose,
             pose_a.y + f * (pose_b.y - pose_a.y)))
 
 
-def _visited_cells_in_order(order: list, tdmap: TopDownMap,
-                            pose: UavPose) -> None:
-    cell = tdmap.cell_of(pose.x, pose.y)
-    if cell not in order:
-        order.append(cell)
-
-
-def _topo_text(order, tdmap: TopDownMap, legend) -> str:
+def _topo_text(trajectory, tdmap: TopDownMap, legend) -> str:
     captions = []
-    for i, j in order:
+    for i, j in dict.fromkeys(tdmap.cell_of(p.x, p.y) for p in trajectory):
         lab = tdmap.label_at(i, j)
         name = legend.get(lab, "unexplored ground")
         captions.append(f"{name} at cell ({i}, {j})")
@@ -381,8 +375,6 @@ def run_episode(scene: Scene, episode: Episode, backend,
     # step's snapshot, so a step sees the trail up to its own pose
     tdmap = TopDownMap(cell_size=config.voxel_size)
     mark_waypoint(tdmap, episode.start)
-    visited_order: list[tuple[int, int]] = []
-    _visited_cells_in_order(visited_order, tdmap, episode.start)
 
     pose = episode.start
     trajectory = [pose]
@@ -392,6 +384,7 @@ def run_episode(scene: Scene, episode: Episode, backend,
                    else episode.max_actions)
     stopped_by = "max-actions"
     consecutive_bad = 0
+    noted_warnings: set[str] = set()   # stateless mode re-warns each step
 
     for step in range(max_actions):
         notes: list[str] = []
@@ -420,9 +413,12 @@ def run_episode(scene: Scene, episode: Episode, backend,
                                     subgoal_ids, size=config.matrix_size,
                                     cell_metric=config.r)
             plan = update_plan_state(plan, matrix, tau=config.tau)
+            notes += [f"plan warning: {w}" for w in plan.warnings
+                      if w not in noted_warnings]
+            noted_warnings.update(plan.warnings)
             matrix_text = serialize_matrix(matrix)
             if config.map_format == "topo":
-                map_text = _topo_text(visited_order, tdmap, scene.legend)
+                map_text = _topo_text(trajectory, tdmap, scene.legend)
             elif config.map_format == "metric":
                 map_text = _metric_text(
                     tdmap, pose, scene.legend,
@@ -471,7 +467,6 @@ def run_episode(scene: Scene, episode: Episode, backend,
             pose = outcome.pose
             trajectory.append(pose)
             _mark_segment(tdmap, prev, pose)
-            _visited_cells_in_order(visited_order, tdmap, pose)
 
             if action.verb == "stop":
                 stopped_by = "stop-action"
@@ -563,7 +558,8 @@ def run_suite(scene: Scene, episodes, backend_factory,
     (backends hold per-episode state such as script position);
     ``perceptor_factory`` likewise, defaulting to the oracle.  Results
     come back in input order regardless of scheduling.  An empty
-    episode list is a ValueError, raised before ``out_dir`` is created.
+    episode list, or two episodes with one id (they would share a trace
+    directory), is a ValueError, raised before ``out_dir`` is created.
 
     An exception other than ``StmrNavError`` (which ``run_episode``
     already turns into ``stopped_by=error``) is a fault in the program:
@@ -579,6 +575,9 @@ def run_suite(scene: Scene, episodes, backend_factory,
     episodes = list(episodes)
     if not episodes:
         raise ValueError("no episodes to run")
+    ids = [episode.episode_id for episode in episodes]
+    if len(set(ids)) < len(ids):
+        raise ValueError(f"episode id {max(ids, key=ids.count)!r} repeats")
 
     def _one(pair):
         index, episode = pair

@@ -426,9 +426,9 @@ def backend_factory(spec: str, seed: int = 0):
     ValueError for a bad spec, OSError for an unreadable script file.
     """
     kind, _, arg = spec.partition(":")
-    if kind == "echo":
+    if spec == "echo":
         return lambda episode, index: EchoBackend()
-    if kind == "random":
+    if spec == "random":
         return lambda episode, index: RandomBackend(seed + index)
     if kind == "scripted":
         if not arg:

@@ -6,7 +6,8 @@ aligned (row 0 is the northernmost row, column 0 the westernmost), so
 turning in place never changes the numbers; the vehicle's heading and
 camera declination ride along as a single token ("west0") printed at
 the center cell.  Each matrix cell covers a fixed number of meters, so
-the language model can reason metrically.
+the language model can reason metrically.  The matrix text is only
+written: the language model reads it, and nothing parses it back.
 
 Two alternative single-purpose encoders are included for comparison
 runs: a topological place-graph text and a bearing/range clause list.
@@ -16,7 +17,6 @@ from __future__ import annotations
 
 import itertools
 import math
-import re
 from dataclasses import dataclass
 
 import numpy as np
@@ -176,50 +176,6 @@ def serialize_matrix(m: StmrMatrix) -> str:
     rows[m.center][m.center] = m.orientation_token
     return "\n".join([legend_line(m.legend)]
                      + [" ".join(row) for row in rows])
-
-
-def parse_matrix(text: str, cell_metric: float = 5.0) -> StmrMatrix:
-    """Inverse of serialize_matrix, for round-trip testing.
-
-    Reads the legend line back into an id -> name dict (dropping the
-    implicit 0 and -1 entries) and the center token back into
-    ``orientation_token``; the reserved center cell reads as 0.
-    """
-    lines = text.splitlines()
-    if not lines or not (lines[0].startswith("[") and lines[0].endswith("]")):
-        raise ValueError("missing legend line")
-    legend = {}
-    inner = lines[0][1:-1]
-    # Entries are "<id>:<name>" separated by spaces; only the fixed
-    # trailing trajectory entry has a multi-word name, so names run up
-    # to the next "<id>:" anchor.
-    anchors = list(re.finditer(r"(?:^| )(-?\d+):", inner))
-    for m, nxt in zip(anchors, anchors[1:] + [None]):
-        lid = int(m.group(1))
-        end = nxt.start() if nxt is not None else len(inner)
-        if lid not in (0, -1):
-            legend[lid] = inner[m.end():end]
-    rows = lines[1:]
-    n = len(rows)
-    cells = np.zeros((n, n), dtype=np.int64)
-    token = None
-    for r, row in enumerate(rows):
-        parts = row.split(" ")
-        if len(parts) != n:
-            raise ValueError(f"row {r} has {len(parts)} cells, expected {n}")
-        for c, part in enumerate(parts):
-            try:
-                cells[r, c] = int(part)
-            except ValueError:
-                if token is not None or (r, c) != (n // 2, n // 2):
-                    raise ValueError(
-                        f"unexpected token {part!r} at [{r},{c}]") from None
-                token = part
-                cells[r, c] = 0
-    if token is None:
-        raise ValueError("no orientation token found")
-    return StmrMatrix(cells=cells, legend=legend, orientation_token=token,
-                      cell_metric=cell_metric)
 
 
 # ---------------------------------------------------------------------------

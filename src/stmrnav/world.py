@@ -156,6 +156,14 @@ def _number(caster, text, line, fieldname):
         raise SceneParseError(str(exc), line=line, field=fieldname) from exc
 
 
+def _note_directive(seen: set, key: str, line, repeatable: str) -> None:
+    """Add ``key`` to ``seen``; only ``repeatable`` may come twice."""
+    if key in seen and key != repeatable:
+        raise SceneParseError(f"duplicate {key} directive", line=line,
+                              field=key)
+    seen.add(key)
+
+
 def _parse_grid(lines, idx, nrows, ncols, caster, fieldname):
     rows = []
     for _ in range(nrows):
@@ -170,10 +178,8 @@ def _parse_grid(lines, idx, nrows, ncols, caster, fieldname):
             raise SceneParseError(
                 f"expected {ncols} values, got {len(parts)}",
                 line=n, field=fieldname)
-        try:
-            rows.append([caster(p) for p in parts])
-        except ValueError as exc:
-            raise SceneParseError(str(exc), line=n, field=fieldname) from exc
+        rows.append(_number(lambda ps: list(map(caster, ps)), parts, n,
+                            fieldname))
     return rows, idx
 
 
@@ -190,6 +196,7 @@ def parse_scene(text: str) -> Scene:
     grids: dict[str, np.ndarray] = {}
     under_label = 0
     dims = None
+    seen: set[str] = set()
 
     idx = 1
     while idx < len(lines):
@@ -197,6 +204,7 @@ def parse_scene(text: str) -> Scene:
         idx += 1
         parts = line.split()
         key = parts[0]
+        _note_directive(seen, key, n, repeatable="legend")
         if key == "cell_size":
             if len(parts) != 2:
                 raise SceneParseError("cell_size takes one value",
@@ -233,9 +241,6 @@ def parse_scene(text: str) -> Scene:
                     f"{dims[0]}x{dims[1]}", line=n, field=key)
             caster = int if key == "label" else float
             rows, idx = _parse_grid(lines, idx, nrows, ncols, caster, key)
-            if key in grids:
-                raise SceneParseError(f"duplicate {key} block",
-                                      line=n, field=key)
             grids[key] = np.array(
                 rows, dtype=np.int64 if key == "label" else np.float64)
         elif key == "under_label":
@@ -246,13 +251,9 @@ def parse_scene(text: str) -> Scene:
         else:
             raise SceneParseError(f"unknown directive {key!r}", line=n)
 
-    if cell_size is None:
-        raise SceneParseError("missing cell_size", field="cell_size")
-    if not legend:
-        raise SceneParseError("missing legend entries", field="legend")
-    for name in ("height", "label"):
-        if name not in grids:
-            raise SceneParseError(f"missing {name} grid", field=name)
+    for name in ("cell_size", "legend", "height", "label"):
+        if name not in seen:
+            raise SceneParseError(f"missing {name}", field=name)
 
     height = grids["height"]
     label = grids["label"]
@@ -307,24 +308,26 @@ def parse_episode(text: str) -> Episode:
     goal = None
     max_actions = None
     path: list[UavPose] = []
+    seen: set[str] = set()
 
     def _pose(parts, n, fieldname):
         if len(parts) != 6:
             raise SceneParseError("expected x y z pitch roll yaw",
                                   line=n, field=fieldname)
-        try:
-            x, y, z, pitch, roll, yaw = (float(p) for p in parts)
-            return UavPose(x, y, z, pitch, roll, yaw)
-        except ValueError as exc:
-            raise SceneParseError(str(exc), line=n, field=fieldname) from exc
+        return _number(lambda ps: UavPose(*map(float, ps)), parts, n,
+                       fieldname)
 
     for n, line in lines[1:]:
         key, _, rest = line.partition(" ")
         rest = rest.strip()
+        _note_directive(seen, key, n, repeatable="path")
         if key == "id":
-            if not rest or len(rest.split()) != 1:
-                raise SceneParseError("id must be a single token",
-                                      line=n, field="id")
+            # the id names its trace directory in a run's output directory
+            if (len(rest.split()) != 1 or set(rest) & set("/\\\0")
+                    or rest in (".", "..", "results.csv", "summary.txt")):
+                raise SceneParseError(
+                    f"id must be one token that names a directory, got "
+                    f"{rest!r}", line=n, field="id")
             episode_id = rest
         elif key == "instruction":
             if not rest:
@@ -351,13 +354,10 @@ def parse_episode(text: str) -> Episode:
         else:
             raise SceneParseError(f"unknown directive {key!r}", line=n)
 
-    for name, val in (("id", episode_id), ("instruction", instruction),
-                      ("start", start), ("goal", goal),
-                      ("max_actions", max_actions)):
-        if val is None:
+    for name in ("id", "instruction", "start", "goal", "max_actions",
+                 "path"):
+        if name not in seen:
             raise SceneParseError(f"missing {name}", field=name)
-    if not path:
-        raise SceneParseError("missing path", field="path")
     first = path[0]
     drift = max(abs(first.x - start.x), abs(first.y - start.y),
                 abs(first.z - start.z), abs(first.yaw - start.yaw))

@@ -177,6 +177,32 @@ class TestRun:
         assert err.count("\n") == 1 and "Traceback" not in err
         assert not out.exists()
 
+    @pytest.mark.parametrize("eid", ["../esc", "results.csv"])
+    def test_unsafe_episode_id_is_a_data_error(self, data_dir, capsys, eid):
+        write_episode(data_dir / "eps" / "ep_a.episode", eid)
+        out = data_dir / "out"
+        code = run_cli("run", "--scene", str(data_dir / "riverside.scene"),
+                       "--episodes", str(data_dir / "eps" / "*.episode"),
+                       "--backend", "echo", "--out", str(out))
+        err = capsys.readouterr().err
+        assert code == EXIT_DATA
+        assert err.startswith("data error: line 2: field 'id': ")
+        assert err.count("\n") == 1 and "Traceback" not in err
+        assert not out.exists() and not (data_dir / "esc").exists()
+
+    def test_repeated_episode_id_is_a_data_error(self, data_dir, capsys):
+        eps = data_dir / "eps"
+        write_episode(eps / "ep_b.episode", "ep_a")
+        out = data_dir / "out"
+        code = run_cli("run", "--scene", str(data_dir / "riverside.scene"),
+                       "--episodes", str(eps / "*.episode"),
+                       "--backend", "echo", "--out", str(out))
+        assert code == EXIT_DATA
+        assert capsys.readouterr().err == (
+            f"data error: {eps / 'ep_b.episode'}: id 'ep_a' is already "
+            f"used by {eps / 'ep_a.episode'}\n")
+        assert not out.exists()
+
     def test_unmatched_episode_glob_is_a_data_error(self, data_dir,
                                                     capsys):
         code = run_cli("run", "--scene", str(data_dir / "riverside.scene"),
@@ -201,6 +227,10 @@ class TestRun:
          "configuration error: "),
         ("--perceptor", "degraded:nan:0", EXIT_USAGE,
          "configuration error: "),
+        ("--perceptor", "degradedfoo:0.5:1", EXIT_USAGE,
+         "configuration error: "),
+        ("--backend", "echo:junk", EXIT_USAGE, "configuration error: "),
+        ("--backend", "random:junk", EXIT_USAGE, "configuration error: "),
     ])
     def test_bad_spec_fails_before_the_run(self, data_dir, capsys, option,
                                            spec, code, prefix):
@@ -424,6 +454,28 @@ class TestValidate:
         out = capsys.readouterr().out
         assert out.startswith(f"{path}: line {line}: field '{field}': ")
         assert out.endswith("\n1 violations\n")
+
+    def test_unsafe_id_is_flagged(self, data_dir, capsys):
+        path = write_episode(data_dir / "eps" / "ep_a.episode", "../esc")
+        code = run_cli("validate", str(data_dir / "riverside.scene"),
+                       str(path))
+        assert code == EXIT_DATA
+        assert capsys.readouterr().out == (
+            f"{path}: line 2: field 'id': id must be one token that names "
+            "a directory, got '../esc'\n1 violations\n")
+
+    @pytest.mark.parametrize("line", ["goal 1 1 1", "max_actions 1"])
+    def test_repeated_directive_is_flagged(self, data_dir, capsys, line):
+        path = data_dir / "eps" / "ep_a.episode"
+        with open(path, "a", encoding="utf-8") as f:
+            f.write(line + "\n")
+        code = run_cli("validate", str(data_dir / "riverside.scene"),
+                       str(path))
+        assert code == EXIT_DATA
+        field = line.split()[0]
+        assert capsys.readouterr().out == (
+            f"{path}: line 9: field '{field}': duplicate {field} "
+            "directive\n1 violations\n")
 
     def test_file_that_is_not_utf8_is_flagged(self, data_dir, capsys):
         bad = data_dir / "garbled.episode"

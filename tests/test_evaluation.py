@@ -13,6 +13,7 @@ import hashlib
 import json
 import math
 import os
+import re
 import types
 
 import numpy as np
@@ -416,6 +417,51 @@ class TestRunEpisode:
         assert trace.matrix_text not in trace.prompt
         assert trace.matrix_text.startswith("[")
 
+    def test_topo_places_are_the_trajectory_cells_in_first_visit_order(
+            self, wall_scene, ep_north):
+        # north 10 m, north 5 m, then back 15 m over the cells already
+        # flown: the places stay (0, 0), (0, 2), (0, 3), and (0, 1) joins
+        script = ["Action: (straight), (0 degrees), (10 meters)",
+                  "Action: (straight), (0 degrees), (5 meters)",
+                  "Action: (back), (0 degrees), (10 meters)",
+                  "Action: (back), (0 degrees), (5 meters)",
+                  STOP_RESPONSE]
+        result = run_episode(wall_scene, ep_north, ScriptedBackend(script),
+                             config=LoopConfig(map_format="topo"))
+        assert result.steps == 5
+        for trace in result.step_traces:
+            flown = result.trajectory[:trace.index + 1]
+            want = []
+            for pose in flown:
+                cell = (math.floor(pose.x / 5.0), math.floor(pose.y / 5.0))
+                if cell not in want:
+                    want.append(cell)
+            places = re.findall(r"^Place (\d+): .* at cell \((-?\d+), "
+                                r"(-?\d+)\)$", trace.prompt, re.MULTILINE)
+            assert [int(k) for k, _, _ in places] == list(range(len(want)))
+            assert [(int(i), int(j)) for _, i, j in places] == want
+        assert want == [(0, 0), (0, 2), (0, 3), (0, 1)]
+
+    @pytest.mark.parametrize("mode", ["state", "stateless"])
+    def test_unresolved_landmark_is_noted_once(self, wall_scene, ep_north,
+                                               mode):
+        # the road sub-goal completes over the road at step 0; the next
+        # one names a pond the legend lacks
+        start = UavPose(12.5, 2.5, 15.0, yaw=math.pi / 2)
+        episode = dataclasses.replace(
+            ep_north, instruction="head to the road and head to the pond",
+            start=start)
+        script = ["Action: (straight), (0 degrees), (5 meters)"] * 2 + [
+            STOP_RESPONSE]
+        result = run_episode(wall_scene, episode, ScriptedBackend(script),
+                             config=LoopConfig(mount="down",
+                                               plan_mode=mode))
+        assert result.steps == 3
+        warnings = [(t.index, n) for t in result.step_traces
+                    for n in t.notes if n.startswith("plan warning")]
+        assert warnings == [
+            (0, "plan warning: landmark 'pond' has no legend entry")]
+
     def test_metric_map_format_produces_bearing_clauses(self, wall_scene,
                                                         ep_east):
         config = LoopConfig(map_format="metric")
@@ -679,6 +725,16 @@ class TestRunSuite:
             run_suite(wall_scene, self._episodes(),
                       lambda e, i: ScriptedBackend([STOP_RESPONSE]),
                       parallel=0)
+
+    def test_repeated_episode_id_is_refused_before_any_write(
+            self, wall_scene, tmp_path):
+        out = tmp_path / "out"
+        episodes = self._episodes()
+        with pytest.raises(ValueError, match="'ep_b' repeats"):
+            run_suite(wall_scene, episodes + episodes[1:2],
+                      lambda e, i: ScriptedBackend([STOP_RESPONSE]),
+                      out_dir=out)
+        assert not out.exists()
 
     def test_empty_episode_list_is_refused_before_any_write(
             self, wall_scene, tmp_path):

@@ -20,7 +20,6 @@ from stmrnav.stmr import (
     extract_local_window,
     legend_line,
     orientation_token,
-    parse_matrix,
     pool_to_matrix,
     serialize_matrix,
 )
@@ -253,23 +252,6 @@ class TestMatrixText:
         assert lines[3] == "0 0 north0 0"
         assert lines[4] == "0 0 -1 0"
 
-    def test_parse_inverts_serialize(self):
-        matrix = self.make_matrix()
-        parsed = parse_matrix(serialize_matrix(matrix))
-        assert np.array_equal(parsed.cells, matrix.cells)
-        assert parsed.legend == LEGEND
-        assert parsed.orientation_token == "north0"
-
-    def test_parse_rejects_stray_tokens(self):
-        text = serialize_matrix(self.make_matrix())
-        bad = text.replace("1 0 0 0", "1 x 0 0")
-        with pytest.raises(ValueError, match="unexpected token"):
-            parse_matrix(bad)
-
-    def test_parse_requires_the_legend_line(self):
-        with pytest.raises(ValueError, match="legend"):
-            parse_matrix("0 0\n0 0")
-
     def test_matrix_rejects_ids_outside_the_legend(self):
         cells = np.zeros((4, 4), dtype=np.int64)
         cells[0, 0] = 9
@@ -294,8 +276,8 @@ class TestMatrixText:
         cells = np.zeros((4, 4), dtype=np.int64)
         matrix = StmrMatrix(cells=cells, legend=LEGEND,
                             orientation_token=orientation_token(pose))
-        parsed = parse_matrix(serialize_matrix(matrix))
-        assert parsed.orientation_token == matrix.orientation_token
+        rows = serialize_matrix(matrix).splitlines()[1:]
+        assert rows[2].split(" ")[2] == matrix.orientation_token
 
 
 @st.composite

@@ -121,6 +121,27 @@ class TestParseScene:
                                    "# noise\n\ncell_size 5\n# more noise")
         assert parse_scene(noisy).cell_size == 5.0
 
+    @pytest.mark.parametrize("drop, field", [
+        ("cell_size 5\n", "cell_size"),
+        ("legend 1 road\nlegend 2 building\nlegend 3 canopy\n", "legend"),
+        ("height 2 3\n0 12 0\n0 0 9\n", "height"),
+        ("label 2 3\n1 2 1\n1 1 3\n", "label"),
+    ], ids=["cell_size", "legend", "height", "label"])
+    def test_missing_directive_is_refused(self, drop, field):
+        with pytest.raises(SceneParseError, match=f"missing {field}") as err:
+            parse_scene(SCENE_TEXT.replace(drop, ""))
+        assert err.value.field == field
+
+    @pytest.mark.parametrize("line, again, at", [
+        ("cell_size 5", "cell_size 10", 4),
+        ("under_label 1", "under_label 2", 8),
+        ("0 0 4", "clearance 2 3\n0 0 0\n0 0 0", 18),
+    ], ids=["cell_size", "under_label", "clearance"])
+    def test_repeated_directive_is_refused(self, line, again, at):
+        with pytest.raises(SceneParseError, match="duplicate") as err:
+            parse_scene(SCENE_TEXT.replace(line, line + "\n" + again))
+        assert (err.value.line, err.value.field) == (at, again.split()[0])
+
 
 EPISODE_TEXT = """\
 stmr-episode v1
@@ -158,6 +179,24 @@ class TestParseEpisode:
     def test_unknown_directive(self):
         with pytest.raises(SceneParseError, match="unknown directive"):
             parse_episode(EPISODE_TEXT + "wind 3\n")
+
+    @pytest.mark.parametrize("again", [
+        "id ep_other", "instruction fly home.",
+        "start 2.5 2.5 20.0 0.0 0.0 0.0", "goal 1 1 1", "max_actions 1",
+    ])
+    def test_repeated_directive_is_refused(self, again):
+        with pytest.raises(SceneParseError) as err:
+            parse_episode(EPISODE_TEXT + again + "\n")
+        assert err.value.line == 9
+        assert err.value.field == again.split()[0]
+
+    @pytest.mark.parametrize("eid", [
+        "../esc", "a/b", "a\\b", ".", "..", "results.csv", "summary.txt",
+    ])
+    def test_id_that_is_not_a_safe_directory_name_is_refused(self, eid):
+        with pytest.raises(SceneParseError, match="names a directory") as err:
+            parse_episode(EPISODE_TEXT.replace("id ep_demo", f"id {eid}"))
+        assert (err.value.line, err.value.field) == (2, "id")
 
 
 # ---------------------------------------------------------------------------
