@@ -271,7 +271,9 @@ def build_parser() -> argparse.ArgumentParser:
                      help="oracle | degraded:<drop-rate>:<seed>")
     run.add_argument("--out", default=None,
                      help="directory for traces, CSV, and summary")
-    run.add_argument("--parallel", type=int, default=1)
+    run.add_argument("--parallel", type=int, default=1,
+                     help="episodes in flight at once; one computes at a "
+                          "time, while the others wait on their backend")
     run.add_argument("--seed", type=int, default=0)
     run.add_argument("--config", default=None,
                      help="JSON file of loop settings")

@@ -20,11 +20,13 @@ step through the whole ball.
 
 from __future__ import annotations
 
+import contextlib
 import csv
 import io
 import itertools
 import math
 import os
+import threading
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, fields
 from typing import get_args, get_type_hints
@@ -351,9 +353,15 @@ def _metric_text(tdmap: TopDownMap, pose: UavPose, legend,
 
 
 def run_episode(scene: Scene, episode: Episode, backend,
-                perceptor=None, config: LoopConfig | None = None
-                ) -> EpisodeResult:
-    """Fly one episode to completion and return its result with traces."""
+                perceptor=None, config: LoopConfig | None = None, *,
+                turn=None) -> EpisodeResult:
+    """Fly one episode to completion and return its result with traces.
+
+    ``turn`` is a lock the caller holds, shared by episodes that run in
+    threads: it is released only while the backend answers, so at most
+    one of them computes at a time while the others wait on their
+    backends.  With the default None nothing is released.
+    """
     config = config if config is not None else LoopConfig()
     config.validate()
     if perceptor is None:
@@ -433,7 +441,14 @@ def run_episode(scene: Scene, episode: Episode, backend,
             raw = ""
             parsed = None
             for attempt in range(config.requery_limit + 1):
-                raw = query(backend, bundle)
+                if turn is None:
+                    raw = query(backend, bundle)
+                else:
+                    turn.release()
+                    try:
+                        raw = query(backend, bundle)
+                    finally:
+                        turn.acquire()
                 try:
                     parsed = parse_response(raw)
                     break
@@ -560,13 +575,22 @@ def run_suite(scene: Scene, episodes, backend_factory,
     come back in input order regardless of scheduling.  An empty
     episode list, or two episodes with one id (they would share a trace
     directory), is a ValueError, raised before ``out_dir`` is created.
+    ``out_dir`` is then created before the first episode starts, so one
+    that cannot be a directory fails before any backend is built.
+
+    With ``parallel`` above 1, up to that many episodes are in flight in
+    threads, but they share one turn (see ``run_episode``): one computes
+    at a time, while the others wait on their backends.  Each finished
+    episode's trace is written to ``out_dir`` in input order as soon as
+    it and every episode before it are done, while later ones still run.
 
     An exception other than ``StmrNavError`` (which ``run_episode``
     already turns into ``stopped_by=error``) is a fault in the program:
     the other episodes still run, the finished ones are written to
     ``out_dir`` in input order (``summary.txt`` only if one finished),
     and then the first such exception in input order is re-raised, with
-    a note naming its episode.
+    a note naming its episode.  A failed write stops the suite: episodes
+    not yet started are not run.
     """
     config = config if config is not None else LoopConfig()
     config.validate()
@@ -578,31 +602,45 @@ def run_suite(scene: Scene, episodes, backend_factory,
     ids = [episode.episode_id for episode in episodes]
     if len(set(ids)) < len(ids):
         raise ValueError(f"episode id {max(ids, key=ids.count)!r} repeats")
+    if out_dir is not None:
+        os.makedirs(out_dir, exist_ok=True)
+
+    threaded = parallel > 1 and len(episodes) > 1
+    turn = threading.Lock() if threaded else None
 
     def _one(pair):
         index, episode = pair
-        try:
-            backend = backend_factory(episode, index)
-            perceptor = (perceptor_factory(episode, index)
-                         if perceptor_factory else None)
-            return run_episode(scene, episode, backend, perceptor=perceptor,
-                               config=config), None
-        except Exception as exc:        # kept and re-raised below
-            return None, exc
+        with turn if threaded else contextlib.nullcontext():
+            try:
+                backend = backend_factory(episode, index)
+                perceptor = (perceptor_factory(episode, index)
+                             if perceptor_factory else None)
+                return run_episode(scene, episode, backend,
+                                   perceptor=perceptor, config=config,
+                                   turn=turn), None
+            except Exception as exc:        # kept and re-raised below
+                return None, exc
 
-    if parallel == 1 or len(episodes) <= 1:
-        outcomes = [_one(p) for p in enumerate(episodes)]
-    else:
-        with ThreadPoolExecutor(max_workers=parallel) as pool:
-            outcomes = list(pool.map(_one, enumerate(episodes)))
-    results = [result for result, exc in outcomes if exc is None]
-    failures = [(episode, exc) for episode, (_, exc)
-                in zip(episodes, outcomes) if exc is not None]
+    results = []
+    failures = []
+    with contextlib.ExitStack() as stack:
+        if threaded:
+            pool = stack.enter_context(ThreadPoolExecutor(parallel))
+            outcomes = pool.map(_one, enumerate(episodes))
+        else:
+            outcomes = (_one(pair) for pair in enumerate(episodes))
+        # closed before the pool joins, so a failed write (or an
+        # interrupt) cancels the episodes that have not started
+        stack.enter_context(contextlib.closing(outcomes))
+        for episode, (result, exc) in zip(episodes, outcomes):
+            if exc is not None:
+                failures.append((episode, exc))
+                continue
+            results.append(result)
+            if out_dir is not None:
+                write_episode_trace(result, out_dir)
 
     if out_dir is not None:
-        os.makedirs(out_dir, exist_ok=True)
-        for result in results:
-            write_episode_trace(result, out_dir)
         with open(os.path.join(out_dir, "results.csv"), "w",
                   encoding="utf-8", newline="") as f:
             f.write(results_csv_text(results))

@@ -23,7 +23,7 @@ try:
 except ModuleNotFoundError:  # Python 3.10
     import tomli as tomllib
 
-from stmrnav import evaluation
+from stmrnav import evaluation, planner
 from stmrnav.cli import _CONFIG_KEYS, EXIT_DATA, EXIT_OK, EXIT_USAGE, main
 from stmrnav.planner import STOP_RESPONSE
 
@@ -398,6 +398,33 @@ class TestRun:
         assert err.startswith("run failed: ")
         assert str(scripts / "ep_a.txt") in err
         assert err.count("\n") == 1 and "Traceback" not in err
+
+
+    def test_out_that_cannot_be_a_directory_fails_before_any_episode(
+            self, data_dir, capsys, monkeypatch):
+        real_factory = planner.backend_factory
+        built = []
+
+        def backend_factory(spec, seed):
+            factory = real_factory(spec, seed)
+
+            def counted(episode, index):
+                built.append(index)
+                return factory(episode, index)
+            return counted
+
+        monkeypatch.setattr(planner, "backend_factory", backend_factory)
+        out = data_dir / "out"
+        out.write_text("a file, not a directory\n", encoding="utf-8")
+        code = run_cli("run", "--scene", str(data_dir / "riverside.scene"),
+                       "--episodes", str(data_dir / "eps" / "*.episode"),
+                       "--backend", "echo", "--parallel", "2",
+                       "--out", str(out))
+        err = capsys.readouterr().err
+        assert code == EXIT_DATA
+        assert err.startswith("run failed: ")
+        assert err.count("\n") == 1 and "Traceback" not in err
+        assert built == []
 
 
 class TestValidate:

@@ -14,6 +14,9 @@ import json
 import math
 import os
 import re
+import sys
+import threading
+import time
 import types
 
 import numpy as np
@@ -23,7 +26,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from stmrnav import evaluation
-from stmrnav.errors import StmrNavError, TemplateError
+from stmrnav.errors import PlanningBackendError, StmrNavError, TemplateError
 from stmrnav.evaluation import (
     EpisodeResult,
     LoopConfig,
@@ -744,6 +747,147 @@ class TestRunSuite:
                       lambda e, i: ScriptedBackend([STOP_RESPONSE]),
                       out_dir=out)
         assert not out.exists()
+
+
+    def test_out_dir_that_cannot_be_a_directory_fails_before_any_episode(
+            self, wall_scene, tmp_path):
+        out = tmp_path / "out"
+        out.write_text("a file, not a directory\n", encoding="utf-8")
+        calls = []
+
+        def factory(episode, index):
+            calls.append(index)
+            return ScriptedBackend([STOP_RESPONSE])
+
+        with pytest.raises(FileExistsError):
+            run_suite(wall_scene, self._episodes(), factory, parallel=2,
+                      out_dir=out)
+        assert calls == []
+
+    @pytest.mark.parametrize("parallel", [2, 4])
+    def test_parallel_episodes_take_turns_computing(self, wall_scene,
+                                                    monkeypatch, parallel):
+        real_render = evaluation.render
+        guard = threading.Lock()
+        inside = []
+        most = 0
+
+        def render(*args, **kwargs):
+            nonlocal most
+            with guard:
+                inside.append(None)
+                most = max(most, len(inside))
+            try:
+                time.sleep(0.002)       # widens the window for an overlap
+                return real_render(*args, **kwargs)
+            finally:
+                with guard:
+                    inside.pop()
+
+        monkeypatch.setattr(evaluation, "render", render)
+        episodes = [parse_episode(EP_NORTH.replace("id ep_north",
+                                                   f"id ep_{i}"))
+                    for i in range(6)]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)     # many more thread switches
+        try:
+            results = run_suite(
+                wall_scene, episodes,
+                lambda e, i: ScriptedBackend([STRAIGHT_ONE] * 3
+                                             + [STOP_RESPONSE]),
+                parallel=parallel)
+        finally:
+            sys.setswitchinterval(interval)
+        assert [r.stopped_by for r in results] == ["stop-action"] * 6
+        assert [len(r.step_traces) for r in results] == [4] * 6
+        assert most == 1
+
+    def test_parallel_backend_waits_still_overlap(self, wall_scene):
+        # each episode's first answer waits for the other episode's first
+        # query, which cannot come while the waiting one holds the turn
+        meeting = threading.Barrier(2, timeout=10)
+
+        class MeetsTheOther:
+            def __init__(self):
+                self.met = False
+
+            def complete(self, prompt):
+                if not self.met:
+                    self.met = True
+                    meeting.wait()
+                return STOP_RESPONSE
+
+        results = run_suite(wall_scene, self._episodes()[:2],
+                            lambda e, i: MeetsTheOther(), parallel=2)
+        assert [r.stopped_by for r in results] == ["stop-action"] * 2
+
+    def test_traces_are_written_while_later_episodes_still_run(
+            self, wall_scene, tmp_path):
+        first_prompt = tmp_path / "out" / "ep_a" / "step_0" / "prompt.txt"
+
+        class WaitsForTheFirstTrace:
+            def complete(self, prompt):
+                deadline = time.monotonic() + 10
+                while not first_prompt.exists():
+                    if time.monotonic() > deadline:
+                        raise PlanningBackendError("ep_a is not written")
+                    time.sleep(0.005)
+                return STOP_RESPONSE
+
+        def factory(episode, index):
+            if index == 2:
+                return WaitsForTheFirstTrace()
+            return ScriptedBackend([STOP_RESPONSE])
+
+        results = run_suite(wall_scene, self._episodes(), factory,
+                            parallel=2, out_dir=tmp_path / "out")
+        assert [r.stopped_by for r in results] == ["stop-action"] * 3
+        run_suite(wall_scene, self._episodes(),
+                  lambda e, i: ScriptedBackend([STOP_RESPONSE]),
+                  parallel=1, out_dir=tmp_path / "serial")
+        assert _tree_bytes(tmp_path / "out") == \
+            _tree_bytes(tmp_path / "serial")
+
+    @pytest.mark.parametrize("parallel", [1, 2])
+    def test_failed_write_stops_the_suite(self, wall_scene, tmp_path,
+                                          monkeypatch, parallel):
+        written = threading.Event()
+
+        def write_episode_trace(result, out_root):
+            written.set()
+            raise OSError("disk full")
+
+        monkeypatch.setattr(evaluation, "write_episode_trace",
+                            write_episode_trace)
+
+        class WaitsForTheWrite:
+            def complete(self, prompt):
+                written.wait(timeout=2)
+                return STOP_RESPONSE
+
+        started = []
+
+        def factory(episode, index):
+            started.append(index)
+            return ScriptedBackend([STOP_RESPONSE]) if index == 0 \
+                else WaitsForTheWrite()
+
+        episodes = [parse_episode(EP_NORTH.replace("id ep_north",
+                                                   f"id ep_{i}"))
+                    for i in range(8)]
+        with pytest.raises(OSError, match="disk full"):
+            run_suite(wall_scene, episodes, factory, parallel=parallel,
+                      out_dir=tmp_path)
+        # the episodes in flight when the write failed finish; no other
+        # episode starts
+        assert sorted(started) == list(range(len(started)))
+        assert len(started) <= parallel + 1
+
+
+def _tree_bytes(root) -> dict[str, bytes]:
+    """Every file under ``root``, by path relative to it."""
+    return {str(p.relative_to(root)): p.read_bytes()
+            for p in root.rglob("*") if p.is_file()}
 
 
 GOLDEN_DIGESTS = os.path.join(os.path.dirname(__file__), "goldens",
