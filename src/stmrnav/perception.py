@@ -20,7 +20,6 @@ import re
 from dataclasses import dataclass, replace
 
 import numpy as np
-from scipy import ndimage
 
 from .errors import LabelError, UndefinedSimilarityError
 
@@ -245,29 +244,64 @@ def resolve_landmark_label(landmark: str, legend, tau: float = 0.8) -> int:
 # perceptor backends
 # ---------------------------------------------------------------------------
 
+def _regions(image: np.ndarray) -> np.ndarray:
+    """Label the 4-connected regions of equal value in a 2-D image.
+
+    Returns an int64 array of the image's shape in which every pixel
+    holds the flat index of its region's first pixel in raster order.
+    Runs of equal values along each row are joined to the runs above
+    them by union-find on run ids, which count in raster order, so each
+    region's smallest run id is its first run.
+    """
+    w = image.shape[1]
+    start = np.ones(image.shape, dtype=bool)
+    start[:, 1:] = image[:, 1:] != image[:, :-1]
+    starts = np.flatnonzero(start)
+    run = np.cumsum(start.ravel()) - 1
+    # Two equal runs in adjacent rows overlap from a column where one of
+    # them starts, so one link there joins them.
+    below = np.flatnonzero((image[1:] == image[:-1])
+                           & (start[1:] | start[:-1])) + w
+    a, b = run[below], run[below - w]
+    root = np.arange(starts.size)
+    while True:
+        ra, rb = root[a], root[b]
+        join = ra != rb
+        if not join.any():
+            return starts[root[run]].reshape(image.shape)
+        ra, rb = ra[join], rb[join]
+        # hook the larger root under the smaller, then pointer-jump
+        np.minimum.at(root, np.maximum(ra, rb), np.minimum(ra, rb))
+        while True:
+            up = root[root]
+            if np.array_equal(up, root):
+                break
+            root = up
+
+
 class OraclePerceptor:
     """Ground-truth perception from the simulator's semantic image.
 
     Returns one mask per 4-connected same-label region, captioned with
     the legend name, so downstream behavior can be studied with
-    perception noise ruled out.
+    perception noise ruled out.  Label 0 (nothing hit) and ids outside
+    the legend give no mask.  Masks come ordered by legend id, then by
+    the raster position of each region's first pixel.
     """
 
     def __init__(self, legend):
         self.legend = dict(legend)
 
     def perceive(self, depth: np.ndarray, semantic: np.ndarray):
-        masks = []
-        for lid in sorted(self.legend):
-            where = semantic == lid
-            if not where.any():
-                continue
-            regions, count = ndimage.label(where)
-            for region in range(1, count + 1):
-                masks.append(PerceivedMask(mask=regions == region,
-                                           caption=self.legend[lid],
-                                           label=lid))
-        return masks
+        first = _regions(semantic)
+        heads = np.flatnonzero(first.ravel() == np.arange(first.size))
+        regions = sorted(
+            (lid, head) for head, lid in zip(
+                heads.tolist(), semantic.ravel()[heads].tolist())
+            if lid != 0 and lid in self.legend)
+        return [PerceivedMask(mask=first == head, caption=self.legend[lid],
+                              label=lid)
+                for lid, head in regions]
 
 
 class DegradedOraclePerceptor:

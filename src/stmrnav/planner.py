@@ -27,8 +27,6 @@ from dataclasses import dataclass, field
 from importlib import resources
 from urllib.parse import urlsplit
 
-import requests
-
 from .errors import (
     ActionParseError,
     BackendUnavailableError,
@@ -332,13 +330,6 @@ class RandomBackend:
                 f"({distance} meters)")
 
 
-# Transport faults a later attempt can get past; every other
-# RequestException (bad header, bad URL, redirect loop, ...) fails the same
-# way each time.
-_RETRYABLE = (requests.Timeout, requests.ConnectionError,
-              requests.exceptions.ChunkedEncodingError,
-              requests.exceptions.ContentDecodingError)
-
 # Every remote call: at most this many requests, sleeping 0.5 s, then 1 s,
 # ... between them, each request given this long to answer.
 _ATTEMPTS = 3
@@ -358,7 +349,8 @@ class RemoteBackend:
     5xx responses.  Any other failed request (a malformed header or URL,
     too many redirects, ...) and other 4xx responses raise
     ``BackendUnavailableError`` at once.  The endpoint must be an
-    ``http://`` or ``https://`` URL.
+    ``http://`` or ``https://`` URL.  ``requests`` is imported when the
+    first backend is built, so runs with local backends never load it.
     """
 
     def __init__(self, endpoint: str, model: str = "gpt-4o",
@@ -367,12 +359,22 @@ class RemoteBackend:
         if url.scheme not in ("http", "https") or not url.netloc:
             raise ValueError(
                 f"remote endpoint must be an http(s) URL, got {endpoint!r}")
+        import requests
+
         self.endpoint = endpoint
         self.model = model
         self.token_env = token_env
         self._sleep = sleep
+        # Transport faults a later attempt can get past; every other
+        # RequestException (bad header, bad URL, redirect loop, ...) fails
+        # the same way each time.
+        self._retryable = (requests.Timeout, requests.ConnectionError,
+                           requests.exceptions.ChunkedEncodingError,
+                           requests.exceptions.ContentDecodingError)
 
     def complete(self, prompt: str) -> str:
+        import requests  # loaded once, by __init__
+
         payload = {
             "model": self.model,
             "messages": [{"role": "user", "content": prompt}],
@@ -389,7 +391,7 @@ class RemoteBackend:
             try:
                 resp = requests.post(self.endpoint, json=payload,
                                      headers=headers, timeout=_TIMEOUT_S)
-            except _RETRYABLE as exc:
+            except self._retryable as exc:
                 last_error = str(exc)
                 continue
             except requests.RequestException as exc:

@@ -110,8 +110,8 @@ class Scene:
             levels.append(level)
         sizes = [lv.size for lv in levels]
         return (np.concatenate([lv.ravel() for lv in levels]),
-                np.cumsum([0] + sizes[:-1]),
-                np.array([lv.shape[1] for lv in levels]))
+                np.cumsum([0] + sizes[:-1], dtype=np.int32),
+                np.array([lv.shape[1] for lv in levels], dtype=np.int32))
 
 
 @dataclass(frozen=True)
@@ -413,17 +413,23 @@ def _proven_misses(scene: Scene, origin: np.ndarray, dirs: np.ndarray,
     z <= the cell's height somewhere inside the cell (the ground under a
     canopy is z = 0), so a ray whose lowest z on every piece clears that
     piece's max by more than the rounding in z and in the hit times
-    cannot hit.  NaN anywhere keeps the ray.
+    cannot hit.  A NaN height keeps the ray.  ``march_rays`` sends only
+    finite spans from a finite origin, so x and y are never NaN, but they
+    can be huge or infinite: they are clipped to one cell beyond the grid
+    before the cast to int32, which would wrap them.
     """
     values, offsets, widths = scene._height_pyramid
     t = t_enter + (t_exit - t_enter) * _QUARTERS
     t[-1] = t_exit
     # x, y, z at the piece ends, rounded as the walk rounds them
     pos = origin[:, None, None] + dirs[:, None, :] * t
-    cells = np.floor(pos[:2] / scene.cell_size).astype(np.int64)
-    last = np.array([[[scene.nx - 1]], [[scene.ny - 1]]])
-    lo = np.clip(np.minimum(cells[:, :-1], cells[:, 1:]) - 1, 0, last)
-    hi = np.clip(np.maximum(cells[:, :-1], cells[:, 1:]) + 1, 0, last)
+    last = np.array([[[scene.nx - 1]], [[scene.ny - 1]]], dtype=np.int32)
+    # Cells one beyond each edge give the boxes of cells further out.
+    cells = np.floor(pos[:2] / scene.cell_size)
+    np.clip(cells, -1, last + 1, out=cells)
+    cells = cells.astype(np.int32)
+    lo = np.maximum(np.minimum(cells[:, :-1], cells[:, 1:]) - 1, 0)
+    hi = np.minimum(np.maximum(cells[:, :-1], cells[:, 1:]) + 1, last)
     # the least l with hi >> l <= (lo >> l) + 1 on both axes
     level = np.frexp(np.maximum((hi - lo).max(axis=0) - 1, 0))[1]
     blocks = np.stack([lo, hi]) >> level

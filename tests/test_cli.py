@@ -667,3 +667,24 @@ class TestConsoleScript:
                 [exe, "validate", scene], cwd=data_dir, env=env,
                 capture_output=True, text=True, timeout=60)
             assert_clean_validate(proc)
+
+
+class TestStartUp:
+    def test_only_the_remote_backend_loads_requests_and_nothing_scipy(self):
+        # Start-up pays for every import; scipy is never needed and
+        # requests only once a remote backend is built.
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(
+            p for p in (str(REPO_ROOT / "src"), env.get("PYTHONPATH")) if p)
+        code = (
+            "import sys\n"
+            "import stmrnav, stmrnav.cli\n"
+            "print(sorted(m for m in ('scipy', 'requests')"
+            " if m in sys.modules))\n"
+            "stmrnav.planner.RemoteBackend('http://x')\n"
+            "print(sorted(m for m in ('scipy', 'requests')"
+            " if m in sys.modules))\n")
+        proc = subprocess.run([sys.executable, "-c", code], env=env,
+                              capture_output=True, text=True, timeout=60)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.splitlines() == ["[]", "['requests']"]

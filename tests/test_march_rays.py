@@ -312,3 +312,62 @@ def test_an_unbounded_range_matches_the_reference():
         want = march_rays_reference(scene, origin, dirs, math.inf)
     assert_same_bytes(got, want)
     assert got[1].tolist() == [0, 1, 0]
+
+
+# NaN and huge values in the origin or the directions: a huge position
+# must saturate, not wrap, when the miss test casts it to a cell.
+EXTREME = st.sampled_from([math.nan, 1e300, -1e300])
+
+
+@st.composite
+def extreme_cases(draw):
+    scene = random_scene(np.random.default_rng(
+        draw(st.integers(0, 2**32 - 1))))
+    origin = [draw(st.floats(-0.3, 1.3)) * scene.extent[0],
+              draw(st.floats(-0.3, 1.3)) * scene.extent[1],
+              draw(st.floats(0.0, 15.0))]
+    dirs = [list(d) for d in draw(st.lists(
+        st.tuples(COMPONENT, COMPONENT, SLOPE), min_size=1, max_size=20))]
+    for _ in range(draw(st.integers(1, 4))):
+        if draw(st.booleans()):
+            origin[draw(st.integers(0, 2))] = draw(EXTREME)
+        else:
+            row = draw(st.integers(0, len(dirs) - 1))
+            dirs[row][draw(st.integers(0, 2))] = draw(EXTREME)
+    t_limit = draw(st.one_of(st.floats(1.0, 80.0), st.just(math.inf)))
+    return scene, np.array(origin), np.array(dirs), t_limit
+
+
+@given(case=extreme_cases())
+@settings(max_examples=300, deadline=None)
+def test_nan_and_huge_inputs_match_the_reference(case):
+    scene, origin, dirs, t_limit = case
+    patch, seen = spy_on_misses()
+    with np.errstate(all="ignore"):
+        with patch:
+            got = world.march_rays(scene, origin, dirs, t_limit)
+        assert_same_bytes(got, march_rays_reference(scene, origin, dirs,
+                                                    t_limit))
+        dropped = np.concatenate(seen["dropped"] or [np.zeros((0, 3))])
+        t, label = march_rays_reference(scene, origin, dropped, t_limit)
+    assert not label.any()
+    assert t.tobytes() == np.zeros_like(t).tobytes()
+
+
+def test_the_miss_test_keeps_rays_whose_pieces_end_far_off_the_grid():
+    # From the middle of a flat 8 x 8 strip, 5 m up, toward a 10 m column
+    # two cells back: the piece ends lie ~1e299 m away, so the first piece
+    # crosses the column below its top and the ray must stay.  A cell
+    # index cast from such a position without clipping wraps, and the
+    # piece's box then skips the column.  A NaN height keeps the ray too.
+    height = np.zeros((8, 8))
+    height[:, 2] = 10.0
+    scene = Scene(cell_size=1.0, legend={1: "road", 2: "building"},
+                  height=height, label=np.where(height > 0, 2, 1),
+                  clearance=np.zeros((8, 8)))
+    origin = np.array([4.5, 4.5, 5.0])
+    dirs = np.array([[-1e300, -1.0], [0.0, 0.0], [0.0, math.nan]])
+    with np.errstate(all="ignore"):
+        miss = world._proven_misses(scene, origin, dirs, np.zeros(2),
+                                    np.ones(2))
+    assert not miss.any()

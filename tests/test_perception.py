@@ -11,11 +11,15 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
+from reference_perception import perceive_reference
 from stmrnav.errors import (
     LabelError,
     UndefinedSimilarityError,
 )
+from stmrnav.evaluation import DEFAULT_INTRINSICS
+from stmrnav.geometry import DOWNWARD_MOUNT, FORWARD_MOUNT
 from stmrnav.perception import (
     DegradedOraclePerceptor,
     OraclePerceptor,
@@ -28,6 +32,7 @@ from stmrnav.perception import (
     tfidf_similarity,
     tokenize,
 )
+from stmrnav.world import render
 
 LEGEND = {1: "road", 2: "building", 3: "river", 4: "grass"}
 
@@ -265,3 +270,140 @@ class TestMasksToLabelImage:
     def test_empty_mask_is_rejected_at_construction(self):
         with pytest.raises(ValueError):
             PerceivedMask(mask=np.zeros((2, 2), dtype=bool), caption="x")
+
+
+# ---------------------------------------------------------------------------
+# the oracle's region labeler against the flood-fill reference
+# ---------------------------------------------------------------------------
+
+FOUR_IDS = {1: "road", 2: "building", 3: "river", 4: "tree"}
+
+
+def assert_same_masks(got, want):
+    assert [(m.caption, m.label) for m in got] == \
+        [(m.caption, m.label) for m in want]
+    assert [m.mask.tobytes() for m in got] == \
+        [m.mask.tobytes() for m in want]
+
+
+@st.composite
+def label_images(draw):
+    shape = draw(st.one_of(
+        st.tuples(st.integers(1, 40), st.integers(1, 40)),
+        st.tuples(st.just(1), st.integers(1, 40)),
+        st.tuples(st.integers(1, 40), st.just(1))))
+    # blocks of equal labels make large, winding regions; 1 x 1 blocks
+    # make many small ones
+    block = draw(st.integers(1, 4))
+    small = (-(-shape[0] // block), -(-shape[1] // block))
+    image = draw(arrays(np.int64, small, elements=st.integers(0, 4)))
+    image = np.repeat(np.repeat(image, block, axis=0), block, axis=1)
+    return image[:shape[0], :shape[1]]
+
+
+# a legend that may leave out ids present in the image
+LEGENDS = st.dictionaries(st.integers(1, 4), st.sampled_from(
+    ["road", "building", "river", "tree"]), min_size=0, max_size=4)
+
+
+@given(image=label_images(), legend=LEGENDS)
+@settings(max_examples=300, deadline=None)
+def test_oracle_masks_equal_the_flood_fill_reference(image, legend):
+    got = OraclePerceptor(legend).perceive(None, image)
+    assert_same_masks(got, perceive_reference(legend, image))
+
+
+@given(image=label_images(), seed=st.integers(0, 2**32 - 1),
+       rate=st.floats(0.0, 1.0))
+@settings(max_examples=100, deadline=None)
+def test_degraded_oracle_drops_the_same_masks(image, seed, rate):
+    rng = np.random.default_rng(seed)
+    want = [m for m in perceive_reference(FOUR_IDS, image)
+            if rng.random() >= rate]
+    got = DegradedOraclePerceptor(FOUR_IDS, drop_rate=rate,
+                                  seed=seed).perceive(None, image)
+    assert_same_masks(got, want)
+
+
+def spiral(h, w):
+    """A one-pixel wall of 1 that winds inward, on 2: both regions are
+    single spirals."""
+    image = np.full((h, w), 2, dtype=np.int64)
+    y = x = dy = 0
+    dx = 1
+    image[0, 0] = 1
+
+    def open_ahead(dy, dx):
+        ny, nx = y + dy, x + dx
+        if not (0 <= ny < h and 0 <= nx < w) or image[ny, nx] == 1:
+            return False
+        # never touch the wall already drawn, but at (y, x)
+        return not any(
+            0 <= ay < h and 0 <= ax < w and image[ay, ax] == 1
+            for ay, ax in ((ny + dx, nx + dy), (ny - dx, nx - dy),
+                           (ny + dy, nx + dx)))
+
+    turns = 0
+    while turns < 2:
+        if open_ahead(dy, dx):
+            y, x = y + dy, x + dx
+            image[y, x] = 1
+            turns = 0
+        else:
+            dy, dx = dx, -dy
+            turns += 1
+    return image
+
+
+def comb(h, w):
+    """Teeth of 1 on odd columns joined by the bottom row, on 3."""
+    image = np.full((h, w), 3, dtype=np.int64)
+    image[:, 1::2] = 1
+    image[-1] = 1
+    return image
+
+
+def snake(h, w):
+    """Rows of 1 joined at alternating ends, on 0."""
+    image = np.zeros((h, w), dtype=np.int64)
+    image[::2] = 1
+    image[1::4, -1] = 1
+    image[3::4, 0] = 1
+    return image
+
+
+SHAPES = {
+    "spiral": spiral(48, 64),
+    "comb": comb(48, 64),
+    "snake": snake(48, 64),
+    "checkerboard": (np.indices((48, 64)).sum(axis=0) % 2 + 1),
+    "all-zero": np.zeros((48, 64), dtype=np.int64),
+    "one-pixel": np.array([[2]]),
+    "one-zero-pixel": np.array([[0]]),
+}
+
+
+@pytest.mark.parametrize("name", sorted(SHAPES))
+def test_oracle_masks_of_adversarial_shapes_equal_the_reference(name):
+    image = SHAPES[name]
+    got = OraclePerceptor(FOUR_IDS).perceive(None, image)
+    assert_same_masks(got, perceive_reference(FOUR_IDS, image))
+
+
+def test_adversarial_shapes_have_the_expected_regions():
+    assert [m.caption for m in OraclePerceptor(FOUR_IDS).perceive(
+        None, SHAPES["spiral"])] == ["road", "building"]
+    assert len(OraclePerceptor(FOUR_IDS).perceive(
+        None, SHAPES["snake"])) == 1
+    assert len(OraclePerceptor(FOUR_IDS).perceive(
+        None, SHAPES["checkerboard"])) == 48 * 64
+
+
+def test_oracle_masks_of_fixture_views_equal_the_reference(scene, episodes):
+    oracle = OraclePerceptor(scene.legend)
+    for episode in episodes:
+        for mount in (FORWARD_MOUNT, DOWNWARD_MOUNT):
+            _, semantic = render(scene, episode.start, DEFAULT_INTRINSICS,
+                                 mount)
+            assert_same_masks(oracle.perceive(None, semantic),
+                              perceive_reference(scene.legend, semantic))
