@@ -7,92 +7,3 @@ perceive/map/prompt/act loop inside a synthetic 2.5D outdoor world,
 with navigation-error / success-rate / oracle-success-rate evaluation
 on top.
 """
-
-from .errors import StmrNavError
-from .geometry import (
-    DOWNWARD_MOUNT,
-    FORWARD_MOUNT,
-    CameraIntrinsics,
-    SemanticPointCloud,
-    UavPose,
-    backproject_image,
-    backproject_pixel,
-    camera_to_world,
-    project_point,
-)
-from .world import (
-    ActionOutcome,
-    Episode,
-    Scene,
-    apply_action,
-    cast_ray,
-    load_episode,
-    load_scene,
-    parse_episode,
-    parse_scene,
-    render,
-)
-from .perception import (
-    DegradedOraclePerceptor,
-    OraclePerceptor,
-    PerceivedMask,
-    extract_landmarks,
-    filter_masks,
-    perceive,
-    tfidf_similarity,
-)
-from .mapping import (
-    TopDownMap,
-    VoxelGrid,
-    insert_points,
-    map_snapshot,
-    mark_waypoint,
-    project_top_down,
-)
-from .stmr import (
-    LocalWindow,
-    StmrMatrix,
-    encode_metric,
-    encode_topo,
-    extract_local_window,
-    orientation_token,
-    pool_to_matrix,
-    serialize_matrix,
-)
-from .plan import (
-    PlanState,
-    SubGoal,
-    current_subgoal_labels,
-    decompose_instruction,
-    serialize_plan,
-    update_plan_state,
-)
-from .planner import (
-    Action,
-    EchoBackend,
-    LlmResponse,
-    PromptBundle,
-    RandomBackend,
-    RemoteBackend,
-    ScriptedBackend,
-    build_prompt,
-    format_history,
-    parse_action,
-    parse_response,
-    query,
-    serialize_action,
-)
-from .evaluation import (
-    EpisodeResult,
-    LoopConfig,
-    StepTrace,
-    Summary,
-    aggregate,
-    navigation_error,
-    oracle_success,
-    run_episode,
-    run_suite,
-    success,
-)
-
-__version__ = "0.1.0"

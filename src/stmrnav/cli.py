@@ -19,9 +19,12 @@ from __future__ import annotations
 import argparse
 import glob
 import json
+import math
 import sys
 import traceback
 from dataclasses import fields
+
+import numpy as np
 
 from . import evaluation, mapping, perception, planner, world
 from .errors import SceneParseError, StmrNavError, TemplateError, read_text
@@ -145,39 +148,31 @@ def cmd_run(args) -> int:
 # dump-map
 # ---------------------------------------------------------------------------
 
-def _map_rows(tdmap, show) -> list[list[str]]:
-    """``show(i, j)`` for each cell within the map's bounds, one list per
-    row, northernmost row first."""
-    i0, j0, i1, j1 = tdmap.bounds() or (0, 0, -1, -1)
-    return [[show(i, j) for i in range(i0, i1 + 1)]
-            for j in range(j1, j0 - 1, -1)]
-
-
-def _ascii_map(tdmap, uav_xy) -> str:
-    uav_cell = tdmap.cell_of(*uav_xy)
-
-    def char(i, j):
-        lab = tdmap.label_at(i, j)
-        if (i, j) == uav_cell:
-            return "@"
-        if (i, j) in tdmap.trajectory:
-            return "*"
-        return "." if lab == 0 else str(lab) if 0 < lab <= 9 else "+"
-    rows = _map_rows(tdmap, char)
-    if not rows:
+def _ascii_map(snapshot, uav_xy) -> str:
+    cell_size, (i0, j0), labels, visited, _ = snapshot
+    if not labels.size:
         return "(map empty)\n"
-    return "".join("".join(row) + "\n" for row in rows)
+    nrows, ncols = labels.shape
+    glyph = np.where((labels >= 0) & (labels <= 9), labels, 10)
+    glyph[visited] = 11
+    row = j0 + nrows - 1 - math.floor(uav_xy[1] / cell_size)
+    col = math.floor(uav_xy[0] / cell_size) - i0
+    if 0 <= row < nrows and 0 <= col < ncols:
+        glyph[row, col] = 12
+    return "".join("".join(r) + "\n"
+                   for r in np.array(list(".123456789+*@"))[glyph].tolist())
 
 
-def _pgm_map(tdmap, legend) -> str:
+def _pgm_map(snapshot) -> str:
+    _, _, labels, visited, legend = snapshot
     max_id = max((lid for lid in legend if lid > 0), default=1)
-
-    def gray(i, j):
-        lab = tdmap.label_at(i, j)
-        if (i, j) in tdmap.trajectory:
-            return "255"
-        return str(0 if lab <= 0 else (lab * 200) // max_id + 40)
-    rows = _map_rows(tdmap, gray)
+    # one gray level per distinct label, in Python ints: lab * 200 would
+    # wrap in int64 for labels above about 4.6e16
+    ids, inverse = np.unique(labels, return_inverse=True)
+    levels = np.array([str(lab * 200 // max_id + 40 if lab > 0 else 0)
+                       for lab in ids.tolist()] + ["255"], dtype=object)
+    rows = levels[np.where(visited, len(ids),
+                           inverse.reshape(labels.shape))].tolist()
     lines = ["P2", f"{len(rows[0]) if rows else 0} {len(rows)}", "255"]
     return "\n".join(lines + [" ".join(row) for row in rows]) + "\n"
 
@@ -188,19 +183,19 @@ def cmd_dump_map(args) -> int:
         if trace is None:
             print(f"no step {args.step} under {args.trace}", file=sys.stderr)
             return EXIT_USAGE
-        tdmap, legend = mapping.parse_snapshot(trace.map_text)
+        snapshot = mapping.parse_snapshot(trace.map_text)
     except (OSError, ValueError) as exc:
         print(f"cannot read trace: {exc}", file=sys.stderr)
         return EXIT_DATA
 
     if args.format == "pgm":
-        sys.stdout.write(_pgm_map(tdmap, legend))
+        sys.stdout.write(_pgm_map(snapshot))
     else:
         sys.stdout.write(trace.matrix_text)
         if not trace.matrix_text.endswith("\n"):
             sys.stdout.write("\n")
         sys.stdout.write("\n")
-        sys.stdout.write(_ascii_map(tdmap, (trace.pose.x, trace.pose.y)))
+        sys.stdout.write(_ascii_map(snapshot, (trace.pose.x, trace.pose.y)))
     return EXIT_OK
 
 

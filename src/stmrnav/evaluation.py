@@ -95,6 +95,7 @@ SUCCESS_RADIUS = 20.0              # meters, for SR and OSR
 MOUNTS = {"forward": FORWARD_MOUNT, "down": DOWNWARD_MOUNT}
 PLAN_MODES = ("state", "stateless")   # stateless regenerates each step
 MAP_FORMATS = ("stmr", "topo", "metric")
+MAX_WINDOW_CELLS = 1024    # widest window side, matrix_size * block cells
 
 
 @dataclass
@@ -125,6 +126,11 @@ class LoopConfig:
             raise ValueError("matrix_size must be even and at least 2")
         if not self.voxel_size > 0:
             raise ValueError("voxel_size must be positive")
+        if not (self.matrix_size <= MAX_WINDOW_CELLS and self.matrix_size
+                * self.r / self.voxel_size <= MAX_WINDOW_CELLS):
+            raise ValueError(
+                f"the window side, matrix_size * r / voxel_size, must be "
+                f"at most {MAX_WINDOW_CELLS} cells")
         block = round(self.r / self.voxel_size)
         if block < 1 or abs(block * self.voxel_size - self.r) > 1e-9:
             raise ValueError(

@@ -258,11 +258,13 @@ def _grid_lines(shape, rows, cols, values) -> list[str]:
     return [" ".join(row) for row in text[index].tolist()]
 
 
-def parse_snapshot(text: str) -> tuple[TopDownMap, dict[int, str]]:
-    """Inverse of ``map_snapshot``: the map's nonzero label cells and
-    visited cells, and the legend without the 0 and -1 entries the
-    snapshot adds.  The cell size comes back as printed (six significant
-    digits).  Raises ValueError on a malformed snapshot."""
+def parse_snapshot(text: str):
+    """Inverse of ``map_snapshot``: the cell size, the origin (i0, j0),
+    the label grid (int64) and the visited flags (bool) as north-up
+    arrays, row 0 northernmost, and the legend without the 0 and -1
+    entries the snapshot adds.  The cell size comes back as printed (six
+    significant digits).  Raises ValueError on a malformed snapshot,
+    a value beyond int64 included."""
     header = {}
     legend = {}
     grids: dict[str, list[list[int]]] = {"labels": [], "trajectory": []}
@@ -290,12 +292,10 @@ def parse_snapshot(text: str) -> tuple[TopDownMap, dict[int, str]]:
             raise ValueError(f"map snapshot {name} grid is not "
                              f"{ncols} x {nrows}")
 
-    tdmap = TopDownMap(cell_size=cell_size)
-    for r in range(nrows):       # row 0 is northernmost
-        for c in range(ncols):
-            cell = (i0 + c, j0 + nrows - 1 - r)
-            if grids["labels"][r][c]:
-                tdmap.labels[cell] = grids["labels"][r][c]
-            if grids["trajectory"][r][c]:
-                tdmap.trajectory.add(cell)
-    return tdmap, {lid: name for lid, name in legend.items() if lid > 0}
+    try:
+        labels, visited = (np.array(grid, np.int64).reshape(nrows, ncols)
+                           for grid in grids.values())
+    except OverflowError:
+        raise ValueError("map snapshot holds a value beyond int64") from None
+    return (cell_size, (i0, j0), labels, visited != 0,
+            {lid: name for lid, name in legend.items() if lid > 0})

@@ -156,6 +156,14 @@ def _number(caster, text, line, fieldname):
         raise SceneParseError(str(exc), line=line, field=fieldname) from exc
 
 
+def _int64(text) -> int:
+    """``int(text)``, or ValueError if the value does not fit int64."""
+    value = int(text)
+    if not -2**63 <= value < 2**63:
+        raise ValueError(f"{text} does not fit a 64-bit integer")
+    return value
+
+
 def _note_directive(seen: set, key: str, line, repeatable: str) -> None:
     """Add ``key`` to ``seen``; only ``repeatable`` may come twice."""
     if key in seen and key != repeatable:
@@ -217,7 +225,7 @@ def parse_scene(text: str) -> Scene:
             if len(parts) != 3:
                 raise SceneParseError("legend takes an id and a name",
                                       line=n, field="legend")
-            lid = _number(int, parts[1], n, "legend")
+            lid = _number(_int64, parts[1], n, "legend")
             if lid < 1:
                 raise SceneParseError("legend ids start at 1",
                                       line=n, field="legend")
@@ -239,7 +247,7 @@ def parse_scene(text: str) -> Scene:
                 raise SceneParseError(
                     f"grid is {nrows}x{ncols} but earlier blocks were "
                     f"{dims[0]}x{dims[1]}", line=n, field=key)
-            caster = int if key == "label" else float
+            caster = _int64 if key == "label" else float
             rows, idx = _parse_grid(lines, idx, nrows, ncols, caster, key)
             grids[key] = np.array(
                 rows, dtype=np.int64 if key == "label" else np.float64)
@@ -247,7 +255,7 @@ def parse_scene(text: str) -> Scene:
             if len(parts) != 2:
                 raise SceneParseError("under_label takes one id",
                                       line=n, field="under_label")
-            under_label = _number(int, parts[1], n, "under_label")
+            under_label = _number(_int64, parts[1], n, "under_label")
         else:
             raise SceneParseError(f"unknown directive {key!r}", line=n)
 

@@ -17,6 +17,8 @@ import sys
 from pathlib import Path
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 try:
     import tomllib
@@ -24,8 +26,22 @@ except ModuleNotFoundError:  # Python 3.10
     import tomli as tomllib
 
 from stmrnav import evaluation, planner
-from stmrnav.cli import _CONFIG_KEYS, EXIT_DATA, EXIT_OK, EXIT_USAGE, main
+from stmrnav.cli import (
+    _CONFIG_KEYS,
+    EXIT_DATA,
+    EXIT_OK,
+    EXIT_USAGE,
+    _ascii_map,
+    _pgm_map,
+    main,
+)
+from stmrnav.mapping import TopDownMap, map_snapshot, parse_snapshot
 from stmrnav.planner import STOP_RESPONSE
+from reference_dump_map import (
+    ascii_map_reference,
+    parse_snapshot_reference,
+    pgm_map_reference,
+)
 
 SCENE_TEXT = """\
 stmr-scene v1
@@ -74,6 +90,10 @@ BAD_NUMBERS = [
     ("scene", "legend 1 road", "legend x road", "legend"),
     ("scene", "height 4 4", "height a 4", "height"),
     ("scene", "under_label 1", "under_label q", "under_label"),
+    ("scene", "4 2 1 4", "4 2 1 999999999999999999999", "label"),
+    ("scene", "legend 1 road", "legend 9223372036854775808 road", "legend"),
+    ("scene", "under_label 1", "under_label -9223372036854775809",
+     "under_label"),
     ("episode", "goal 12.5 12.5 5.0", "goal 12.5 abc 5.0", "goal"),
     ("episode", "goal 12.5 12.5 5.0", "goal 12.5 nan 5.0", "goal"),
     ("episode", "max_actions 4", "max_actions ten", "max_actions"),
@@ -243,6 +263,28 @@ class TestRun:
         assert err.startswith(prefix)
         assert err.count("\n") == 1 and "Traceback" not in err
         assert not out.exists()
+
+    @pytest.mark.parametrize("flags", [
+        ("--matrix-size", "100000"),
+        ("--matrix-size", "1" + "0" * 30),
+        ("--r", "1e308"),
+        ("--matrix-size", "1026"),
+        ("--matrix-size", "4", "--r", "1285"),
+        ("--config", "{data}/huge.json"),
+    ])
+    def test_window_beyond_the_cap_is_a_usage_error(self, data_dir, capsys,
+                                                    flags):
+        # The scene is missing, so a window that passed the check would
+        # stop at the scene as a data error, before any allocation.
+        (data_dir / "huge.json").write_text(
+            json.dumps({"matrix_size": 10**30}), encoding="utf-8")
+        code = run_cli("run", "--scene", str(data_dir / "missing.scene"),
+                       "--episodes", str(data_dir / "eps" / "ep_a.episode"),
+                       *(flag.format(data=data_dir) for flag in flags))
+        err = capsys.readouterr().err
+        assert code == EXIT_USAGE
+        assert err.startswith("configuration error: ")
+        assert f"at most {evaluation.MAX_WINDOW_CELLS} cells" in err
 
     def test_out_of_range_tau_is_a_usage_error(self, data_dir, capsys):
         code = run_cli("run", "--scene", str(data_dir / "riverside.scene"),
@@ -596,6 +638,41 @@ class TestDumpMap:
         assert err.count("\n") == 1
 
 
+CELL = st.tuples(st.integers(-12, 12), st.integers(-12, 12))
+LABEL = st.one_of(st.integers(-3, 12).filter(bool),
+                  st.sampled_from([-2**62, 2**62 - 1, 2**62]))
+
+
+class TestDumpMapMatchesReference:
+    """The drawing from the snapshot's own grids prints what the per-cell
+    redraw of a rebuilt ``TopDownMap`` printed."""
+
+    @given(cell_size=st.sampled_from([0.5, 2.5, 5.0]),
+           labels=st.dictionaries(CELL, LABEL, max_size=40),
+           trajectory=st.sets(CELL, max_size=15),
+           legend=st.dictionaries(
+               st.one_of(st.integers(1, 40), st.just(2**62)),
+               st.sampled_from(["road", "river", "grass"]), max_size=5),
+           uav_xy=st.tuples(st.floats(-80, 80), st.floats(-80, 80)))
+    @example(cell_size=5.0, labels={}, trajectory=set(), legend={},
+             uav_xy=(2.0, 2.0))
+    @example(cell_size=5.0, labels={}, trajectory={(-3, -7), (2, 4)},
+             legend={1: "road"}, uav_xy=(12.0, 22.0))
+    @example(cell_size=5.0, labels={(0, 0): 2**62, (1, 1): -2**62},
+             trajectory=set(), legend={1: "road"}, uav_xy=(50.0, -50.0))
+    @settings(max_examples=300, deadline=None)
+    def test_byte_equal(self, cell_size, labels, trajectory, legend,
+                        uav_xy):
+        text = map_snapshot(
+            TopDownMap(cell_size, labels=labels, trajectory=trajectory),
+            legend)
+        tdmap, back_legend = parse_snapshot_reference(text)
+        snapshot = parse_snapshot(text)
+        assert _ascii_map(snapshot, uav_xy) == ascii_map_reference(tdmap,
+                                                                   uav_xy)
+        assert _pgm_map(snapshot) == pgm_map_reference(tdmap, back_legend)
+
+
 REPO_ROOT = Path(__file__).resolve().parent.parent
 
 # What a console-script launcher does with a `module:attr` target: import
@@ -670,6 +747,18 @@ class TestConsoleScript:
 
 
 class TestStartUp:
+    def test_importing_the_package_loads_no_submodule(self):
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(
+            p for p in (str(REPO_ROOT / "src"), env.get("PYTHONPATH")) if p)
+        code = ("import stmrnav, sys\n"
+                "print(sorted(m for m in sys.modules"
+                " if m.startswith('stmrnav.')))\n")
+        proc = subprocess.run([sys.executable, "-c", code], env=env,
+                              capture_output=True, text=True, timeout=60)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout == "[]\n"
+
     def test_only_the_remote_backend_loads_requests_and_nothing_scipy(self):
         # Start-up pays for every import; scipy is never needed and
         # requests only once a remote backend is built.

@@ -284,11 +284,21 @@ class TestLoopConfig:
         {"requery_limit": -1},
         {"max_unparseable": 0},
         {"max_actions": 0},
+        {"matrix_size": 100000},          # window side beyond the cap
+        {"matrix_size": 10**30},
+        {"matrix_size": 10**400},         # beyond a float
+        {"r": 1e308},
+        {"voxel_size": 1e-300},
+        {"matrix_size": 4, "r": 1285.0},  # 4 * 257 cells
     ])
     def test_invalid_values_are_rejected(self, kwargs):
         config = LoopConfig(**kwargs)
         with pytest.raises(ValueError):
             config.validate()
+
+    def test_a_window_at_the_cap_is_accepted(self):
+        LoopConfig(matrix_size=4, r=1280.0).validate()   # 4 * 256 cells
+        LoopConfig(matrix_size=evaluation.MAX_WINDOW_CELLS).validate()
 
     def test_float_fields_take_integers(self):
         LoopConfig(r=10, voxel_size=5, max_range=100, margin=0).validate()

@@ -342,17 +342,28 @@ class TestParseSnapshot:
     @settings(max_examples=200, deadline=None)
     def test_inverts_map_snapshot(self, map_and_legend):
         tdmap, legend = map_and_legend
-        back, back_legend = parse_snapshot(map_snapshot(tdmap, legend))
+        cell_size, (i0, j0), labels, visited, back_legend = parse_snapshot(
+            map_snapshot(tdmap, legend))
         assert back_legend == legend
-        assert back.labels == tdmap.labels
-        assert back.trajectory == tdmap.trajectory
-        assert back.cell_size == tdmap.cell_size
-        assert back.bounds() == tdmap.bounds()
+        assert cell_size == tdmap.cell_size
+        assert (labels.dtype, visited.dtype) == (np.int64, np.bool_)
+        if tdmap.bounds() is None:
+            assert labels.shape == visited.shape == (0, 0)
+            return
+        assert (i0, j0, i0 + labels.shape[1] - 1,
+                j0 + labels.shape[0] - 1) == tdmap.bounds()
+        assert visited.shape == labels.shape
+        j1 = j0 + labels.shape[0] - 1
+        for r, c in np.ndindex(labels.shape):     # row 0 is northernmost
+            cell = (i0 + c, j1 - r)
+            assert labels[r, c] == tdmap.label_at(*cell)
+            assert visited[r, c] == (cell in tdmap.trajectory)
 
     def test_empty_map_round_trips(self):
-        back, legend = parse_snapshot(map_snapshot(TopDownMap(2.5), {}))
-        assert (back.labels, back.trajectory, legend) == ({}, set(), {})
-        assert back.bounds() is None
+        cell_size, origin, labels, visited, legend = parse_snapshot(
+            map_snapshot(TopDownMap(2.5), {}))
+        assert (cell_size, origin, legend) == (2.5, (0, 0), {})
+        assert labels.shape == visited.shape == (0, 0)
 
     @pytest.mark.parametrize("edit", [
         lambda t: t.replace("cell_size 5\n", ""),
@@ -363,6 +374,8 @@ class TestParseSnapshot:
         lambda t: t.replace("labels\n0 2\n", "labels\n0 2 7\n"),
         lambda t: t.replace("1 0\n0 0\n", "1 0\n"),
         lambda t: t.replace("legend 1 road", "legend one road"),
+        lambda t: t.replace("0 2\n", "0 9223372036854775808\n"),
+        lambda t: t.replace("1 0\n0 0\n", "-9223372036854775809 0\n0 0\n"),
     ])
     def test_malformed_snapshot_is_a_value_error(self, edit):
         text = map_snapshot(TopDownMap(cell_size=5.0,
