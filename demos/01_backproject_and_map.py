@@ -18,8 +18,8 @@ from importlib import resources
 
 import numpy as np
 
-from stmrnav.evaluation import DEFAULT_INTRINSICS
-from stmrnav.geometry import FORWARD_MOUNT, backproject_image
+from stmrnav.evaluation import DEFAULT_INTRINSICS, VOXEL_SIZE
+from stmrnav.geometry import FORWARD_MOUNT, MAX_RANGE, backproject_image
 from stmrnav.mapping import VoxelGrid, insert_points, project_top_down
 from stmrnav.perception import (
     OraclePerceptor,
@@ -44,10 +44,10 @@ def main() -> None:
           f"yaw={pose.yaw:.3f} (north)")
 
     k = DEFAULT_INTRINSICS
-    depth, semantic = render(scene, pose, k, FORWARD_MOUNT, max_range=100.0)
+    depth, semantic = render(scene, pose, k, FORWARD_MOUNT)
     hit = depth > 0
     print(f"\nrendered a {k.width}x{k.height} forward view; "
-          f"{hit.sum()} of {depth.size} rays hit within 100 m")
+          f"{hit.sum()} of {depth.size} rays hit within {MAX_RANGE:g} m")
     print(f"depth range over hits: {depth[hit].min():.1f} .. "
           f"{depth[hit].max():.1f} m")
     ids, counts = np.unique(semantic[hit], return_counts=True)
@@ -67,8 +67,7 @@ def main() -> None:
 
     label_img = masks_to_label_image(kept, semantic.shape)
     cloud = backproject_image(np.where(label_img > 0, depth, 0.0),
-                              label_img, k, pose, FORWARD_MOUNT,
-                              max_range=100.0)
+                              label_img, k, pose, FORWARD_MOUNT)
     print(f"\nback-projected {len(cloud)} labeled pixels into world "
           "points")
     lo = cloud.xyz.min(axis=0).round(1)
@@ -76,7 +75,8 @@ def main() -> None:
     print(f"point bounds: x {lo[0]}..{hi[0]}  y {lo[1]}..{hi[1]}  "
           f"z {lo[2]}..{hi[2]}")
 
-    grid = VoxelGrid(voxel_size=5.0, known_labels=frozenset(scene.legend))
+    grid = VoxelGrid(voxel_size=VOXEL_SIZE,
+                     known_labels=frozenset(scene.legend))
     insert_points(grid, cloud)
     tdmap = project_top_down(grid)
     print(f"\nvoxel grid holds {len(grid.counts)} occupied voxels; "

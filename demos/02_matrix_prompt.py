@@ -14,7 +14,7 @@ Run from the repository root:
 import math
 from importlib import resources
 
-from stmrnav.evaluation import DEFAULT_INTRINSICS
+from stmrnav.evaluation import DEFAULT_INTRINSICS, VOXEL_SIZE
 from stmrnav.geometry import FORWARD_MOUNT, UavPose, backproject_image
 from stmrnav.mapping import (
     VoxelGrid,
@@ -37,13 +37,13 @@ FIXTURES = resources.files("stmrnav") / "fixtures"
 
 def build_map(scene, pose):
     """Render one view and map every category the oracle can see."""
-    depth, semantic = render(scene, pose, DEFAULT_INTRINSICS,
-                             FORWARD_MOUNT, max_range=100.0)
+    depth, semantic = render(scene, pose, DEFAULT_INTRINSICS, FORWARD_MOUNT)
     masks = OraclePerceptor(scene.legend).perceive(depth, semantic)
     label_img = masks_to_label_image(masks, semantic.shape)
     cloud = backproject_image(depth, label_img, DEFAULT_INTRINSICS, pose,
-                              FORWARD_MOUNT, max_range=100.0)
-    grid = VoxelGrid(voxel_size=5.0, known_labels=frozenset(scene.legend))
+                              FORWARD_MOUNT)
+    grid = VoxelGrid(voxel_size=VOXEL_SIZE,
+                     known_labels=frozenset(scene.legend))
     insert_points(grid, cloud)
     tdmap = project_top_down(grid)
     mark_waypoint(tdmap, pose)

@@ -106,6 +106,9 @@ def cmd_run(args) -> int:
             if earlier != path:
                 raise SceneParseError(f"{path}: id {episode.episode_id!r} "
                                       f"is already used by {earlier}")
+            violations = world.episode_violations(scene, episode)
+            if violations:
+                raise SceneParseError(f"{path}: {'; '.join(violations)}")
     except (SceneParseError, OSError) as exc:
         print(f"data error: {exc}", file=sys.stderr)
         return EXIT_DATA
@@ -155,8 +158,11 @@ def _ascii_map(snapshot, uav_xy) -> str:
     nrows, ncols = labels.shape
     glyph = np.where((labels >= 0) & (labels <= 9), labels, 10)
     glyph[visited] = 11
-    row = j0 + nrows - 1 - math.floor(uav_xy[1] / cell_size)
-    col = math.floor(uav_xy[0] / cell_size) - i0
+    try:
+        row = j0 + nrows - 1 - math.floor(uav_xy[1] / cell_size)
+        col = math.floor(uav_xy[0] / cell_size) - i0
+    except OverflowError:    # a pose with no cell lies outside the box
+        row = col = -1
     if 0 <= row < nrows and 0 <= col < ncols:
         glyph[row, col] = 12
     return "".join("".join(r) + "\n"
@@ -228,19 +234,8 @@ def cmd_validate(args) -> int:
             violations.append(f"{path}: {exc}")
 
     if scene is not None:
-        ext_x, ext_y = scene.extent
-        for path, ep in episodes:
-            points = [("start", (ep.start.x, ep.start.y, ep.start.z)),
-                      ("goal", tuple(ep.goal))]
-            for name, (x, y, z) in points:
-                if not (0 <= x < ext_x and 0 <= y < ext_y):
-                    violations.append(
-                        f"{path}: {name} ({x:g}, {y:g}) outside scene "
-                        f"bounds {ext_x:g} x {ext_y:g}")
-                elif z <= 0:
-                    violations.append(
-                        f"{path}: {name} altitude {z:g} is not above "
-                        "ground")
+        violations += [f"{path}: {v}" for path, ep in episodes
+                       for v in world.episode_violations(scene, ep)]
 
     for v in violations:
         print(v)

@@ -27,7 +27,6 @@ import itertools
 import math
 import os
 import threading
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, fields
 from typing import get_args, get_type_hints
 
@@ -96,21 +95,21 @@ MOUNTS = {"forward": FORWARD_MOUNT, "down": DOWNWARD_MOUNT}
 PLAN_MODES = ("state", "stateless")   # stateless regenerates each step
 MAP_FORMATS = ("stmr", "topo", "metric")
 MAX_WINDOW_CELLS = 1024    # widest window side, matrix_size * block cells
+VOXEL_SIZE = 5.0           # meters, the map's cell side; r is a multiple
+REQUERY_LIMIT = 2          # extra queries after a bad response
+MAX_UNPARSEABLE = 3        # consecutive fallbacks before aborting
 
 
 @dataclass
 class LoopConfig:
-    """Every tunable of the loop, defaulting to the headline setup."""
+    """The loop's tunables, defaulting to the headline setup.  What no
+    caller varies is a module constant: VOXEL_SIZE, REQUERY_LIMIT,
+    MAX_UNPARSEABLE, ``geometry.MAX_RANGE`` and ``world.MARGIN``."""
 
     tau: float = 0.8               # caption/landmark similarity threshold
-    r: float = 5.0                 # meters per matrix cell
+    r: float = VOXEL_SIZE          # meters per matrix cell
     matrix_size: int = 20
-    voxel_size: float = 5.0
-    max_range: float = 100.0       # depth reliability cutoff
     mount: str = "forward"         # a key of MOUNTS
-    margin: float = 0.5            # collision standoff, meters
-    requery_limit: int = 2         # extra queries after a bad response
-    max_unparseable: int = 3       # consecutive fallbacks before aborting
     plan_mode: str = "state"       # one of PLAN_MODES
     map_format: str = "stmr"       # one of MAP_FORMATS
     max_actions: int | None = None  # None = use the episode's own cap
@@ -124,32 +123,20 @@ class LoopConfig:
             raise ValueError(f"tau must be in (0, 1), got {self.tau}")
         if self.matrix_size < 2 or self.matrix_size % 2:
             raise ValueError("matrix_size must be even and at least 2")
-        if not self.voxel_size > 0:
-            raise ValueError("voxel_size must be positive")
         if not (self.matrix_size <= MAX_WINDOW_CELLS and self.matrix_size
-                * self.r / self.voxel_size <= MAX_WINDOW_CELLS):
+                * self.r / VOXEL_SIZE <= MAX_WINDOW_CELLS):
             raise ValueError(
-                f"the window side, matrix_size * r / voxel_size, must be "
-                f"at most {MAX_WINDOW_CELLS} cells")
-        block = round(self.r / self.voxel_size)
-        if block < 1 or abs(block * self.voxel_size - self.r) > 1e-9:
+                f"the window side, matrix_size * r / {VOXEL_SIZE:g}, must "
+                f"be at most {MAX_WINDOW_CELLS} cells")
+        if self.block < 1 or abs(self.block * VOXEL_SIZE - self.r) > 1e-9:
             raise ValueError(
-                "r must be a whole multiple of voxel_size "
-                f"(r={self.r}, voxel_size={self.voxel_size})")
-        if not self.max_range > 0:
-            raise ValueError("max_range must be positive")
-        if self.margin < 0:
-            raise ValueError("margin cannot be negative")
+                f"r must be a whole multiple of {VOXEL_SIZE:g}, got {self.r}")
         if self.mount not in MOUNTS:
             raise ValueError(f"unknown mount {self.mount!r}")
         if self.plan_mode not in PLAN_MODES:
             raise ValueError(f"unknown plan_mode {self.plan_mode!r}")
         if self.map_format not in MAP_FORMATS:
             raise ValueError(f"unknown map_format {self.map_format!r}")
-        if self.requery_limit < 0:
-            raise ValueError("requery_limit cannot be negative")
-        if self.max_unparseable < 1:
-            raise ValueError("max_unparseable must be at least 1")
         if self.max_actions is not None and self.max_actions < 1:
             raise ValueError("max_actions must be positive")
         if self.template is not None:
@@ -159,7 +146,7 @@ class LoopConfig:
 
     @property
     def block(self) -> int:
-        return round(self.r / self.voxel_size)
+        return round(self.r / VOXEL_SIZE)
 
     @property
     def mount_matrix(self) -> np.ndarray:
@@ -382,12 +369,12 @@ def run_episode(scene: Scene, episode: Episode, backend,
                                   extra_vocab=legend_names)
     plan = decompose_instruction(episode.instruction,
                                  extra_vocab=legend_names)
-    grid = VoxelGrid(voxel_size=config.voxel_size,
+    grid = VoxelGrid(voxel_size=VOXEL_SIZE,
                      known_labels=frozenset(scene.legend))
     # one map for the whole flight: each step re-projects only the
     # columns its points touched, and waypoints are marked after the
     # step's snapshot, so a step sees the trail up to its own pose
-    tdmap = TopDownMap(cell_size=config.voxel_size)
+    tdmap = TopDownMap(cell_size=VOXEL_SIZE)
     mark_waypoint(tdmap, episode.start)
 
     pose = episode.start
@@ -403,15 +390,13 @@ def run_episode(scene: Scene, episode: Episode, backend,
     for step in range(max_actions):
         notes: list[str] = []
         try:
-            depth, semantic = render(scene, pose, k, mount,
-                                     max_range=config.max_range)
+            depth, semantic = render(scene, pose, k, mount)
             masks = perceive(perceptor, depth, semantic)
             kept = filter_masks(masks, landmarks, tau=config.tau,
                                 legend=scene.legend)
             label_img = masks_to_label_image(kept, semantic.shape)
             seen_depth = np.where(label_img > 0, depth, 0.0)
-            cloud = backproject_image(seen_depth, label_img, k, pose,
-                                      mount, max_range=config.max_range)
+            cloud = backproject_image(seen_depth, label_img, k, pose, mount)
             insert_points(grid, cloud)
 
             if config.plan_mode == "stateless":
@@ -446,7 +431,7 @@ def run_episode(scene: Scene, episode: Episode, backend,
 
             raw = ""
             parsed = None
-            for attempt in range(config.requery_limit + 1):
+            for attempt in range(REQUERY_LIMIT + 1):
                 if turn is None:
                     raw = query(backend, bundle)
                 else:
@@ -473,8 +458,7 @@ def run_episode(scene: Scene, episode: Episode, backend,
                                 note="fallback after re-query budget")
                 notes.append("no parseable response; holding position")
 
-            outcome = apply_action(scene, pose, action,
-                                   margin=config.margin)
+            outcome = apply_action(scene, pose, action)
             if outcome.collision:
                 notes.append(f"collision: {outcome.reason}")
             traces.append(StepTrace(
@@ -492,7 +476,7 @@ def run_episode(scene: Scene, episode: Episode, backend,
             if action.verb == "stop":
                 stopped_by = "stop-action"
                 break
-            if consecutive_bad >= config.max_unparseable:
+            if consecutive_bad >= MAX_UNPARSEABLE:
                 stopped_by = "error"
                 break
         except StmrNavError as exc:
@@ -631,6 +615,8 @@ def run_suite(scene: Scene, episodes, backend_factory,
     failures = []
     with contextlib.ExitStack() as stack:
         if threaded:
+            # imported here, so serial runs skip its start-up cost
+            from concurrent.futures import ThreadPoolExecutor
             pool = stack.enter_context(ThreadPoolExecutor(parallel))
             outcomes = pool.map(_one, enumerate(episodes))
         else:

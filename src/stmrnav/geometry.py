@@ -122,6 +122,8 @@ DOWNWARD_MOUNT = np.array([
     [0.0, 0.0, -1.0],
 ])
 
+MAX_RANGE = 100.0      # meters; depth beyond it is unreliable
+
 
 def body_to_world(pose: UavPose) -> np.ndarray:
     """Rotation taking body-frame vectors to the world frame (yaw-pitch-roll)."""
@@ -178,12 +180,11 @@ def backproject_image(
     k: CameraIntrinsics,
     pose: UavPose,
     mount: np.ndarray = FORWARD_MOUNT,
-    max_range: float = 100.0,
 ) -> SemanticPointCloud:
     """Back-project a depth image into a world-frame semantic point cloud.
 
-    One point per pixel whose depth is finite and in (0, max_range];
-    depth <= 0 is the no-return sentinel and anything beyond max_range is
+    One point per pixel whose depth is finite and in (0, MAX_RANGE];
+    depth <= 0 is the no-return sentinel and anything beyond MAX_RANGE is
     discarded as unreliable.  Labels ride along unchanged.  Equals the
     per-pixel backproject_pixel + camera_to_world composition exactly.
     """
@@ -197,7 +198,7 @@ def backproject_image(
             f"image {depth.shape} does not match intrinsics "
             f"({k.height}, {k.width})")
 
-    valid = np.isfinite(depth) & (depth > 0) & (depth <= max_range)
+    valid = np.isfinite(depth) & (depth > 0) & (depth <= MAX_RANGE)
     vv, uu = np.nonzero(valid)
     d = depth[vv, uu]
     cx = (uu - k.cx) * d / k.fx

@@ -35,6 +35,7 @@ import numpy as np
 from .errors import SceneParseError, read_text
 from .geometry import (
     FORWARD_MOUNT,
+    MAX_RANGE,
     CameraIntrinsics,
     UavPose,
     camera_to_world_rotation,
@@ -47,6 +48,7 @@ _T_MAX = float(np.finfo(np.float64).max)
 _QUARTERS = np.linspace(0.0, 1.0, 5)[:, None]
 # Relative slack of the miss test over the rounding in z and hit times.
 _CLEAR_SLACK = 1e-6
+MARGIN = 0.5           # meters of collision standoff
 
 
 @dataclass(frozen=True)
@@ -382,6 +384,22 @@ def load_episode(path) -> Episode:
     return parse_episode(read_text(path))
 
 
+def episode_violations(scene: Scene, episode: Episode) -> list[str]:
+    """Why ``episode`` cannot be flown in ``scene``: a start or goal
+    outside the scene bounds or not above the ground.  Empty if none."""
+    ext_x, ext_y = scene.extent
+    violations = []
+    for name, (x, y, z) in (
+            ("start", (episode.start.x, episode.start.y, episode.start.z)),
+            ("goal", tuple(episode.goal))):
+        if not (0 <= x < ext_x and 0 <= y < ext_y):
+            violations.append(f"{name} ({x:g}, {y:g}) outside scene "
+                              f"bounds {ext_x:g} x {ext_y:g}")
+        elif z <= 0:
+            violations.append(f"{name} altitude {z:g} is not above ground")
+    return violations
+
+
 # ---------------------------------------------------------------------------
 # ray marching
 # ---------------------------------------------------------------------------
@@ -619,16 +637,15 @@ def _camera_rays(k: CameraIntrinsics) -> np.ndarray:
 
 
 def render(scene: Scene, pose: UavPose, k: CameraIntrinsics,
-           mount: np.ndarray = FORWARD_MOUNT,
-           max_range: float = 100.0):
+           mount: np.ndarray = FORWARD_MOUNT):
     """Render depth and semantic images for a camera at ``pose``.
 
     The depth image stores planar camera-frame z; pixels with no surface
-    within ``max_range`` hold 0 in both images.
+    within ``MAX_RANGE`` hold 0 in both images.
     """
     r = camera_to_world_rotation(pose, mount)
     dirs = _camera_rays(k) @ r.T
-    t_hit, labels = march_rays(scene, pose.position, dirs, max_range)
+    t_hit, labels = march_rays(scene, pose.position, dirs, MAX_RANGE)
     labels = np.where(t_hit > 0, labels, 0)
     depth = t_hit.reshape(k.height, k.width)
     semantic = labels.reshape(k.height, k.width)
@@ -654,15 +671,14 @@ def cast_ray(scene: Scene, origin: np.ndarray, direction: np.ndarray,
 # motion
 # ---------------------------------------------------------------------------
 
-def apply_action(scene: Scene, pose: UavPose, action: Action,
-                 margin: float = 0.5) -> ActionOutcome:
+def apply_action(scene: Scene, pose: UavPose, action: Action) -> ActionOutcome:
     """Advance the vehicle by one action with collision clipping.
 
     right/left rotate the heading by the action's degree field and then
     translate forward; straight/back translate along the current heading;
     lift/down translate vertically; stop leaves the pose unchanged.
-    Translation stops ``margin`` meters short of the first surface along
-    the motion ray, and positions are kept ``margin`` inside the scene
+    Translation stops ``MARGIN`` meters short of the first surface along
+    the motion ray, and positions are kept ``MARGIN`` inside the scene
     bounds (and above the ground plane).
     """
     if action.verb == "stop":
@@ -691,18 +707,18 @@ def apply_action(scene: Scene, pose: UavPose, action: Action,
     allowed = float(action.distance)
     if allowed > 0:
         t, lab = cast_ray(scene, pose.position, direction,
-                          allowed + margin)
-        if t is not None and t - margin < allowed:
-            allowed = max(t - margin, 0.0)
+                          allowed + MARGIN)
+        if t is not None and t - MARGIN < allowed:
+            allowed = max(t - MARGIN, 0.0)
             collision = True
             reason = f"blocked by {scene.label_name(lab)}"
 
     target = pose.position + allowed * direction
     ext_x, ext_y = scene.extent
     clipped = np.array([
-        min(max(target[0], margin), ext_x - margin),
-        min(max(target[1], margin), ext_y - margin),
-        max(target[2], margin),
+        min(max(target[0], MARGIN), ext_x - MARGIN),
+        min(max(target[1], MARGIN), ext_y - MARGIN),
+        max(target[2], MARGIN),
     ])
     if not np.array_equal(clipped, target) and reason is None:
         collision = True

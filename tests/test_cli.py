@@ -358,8 +358,8 @@ class TestRun:
 
     @pytest.mark.parametrize("values", [
         {"matrix_size": 20.0},
-        {"requery_limit": True},
-        {"max_unparseable": True},
+        {"matrix_size": True},
+        {"max_actions": True},
         {"tau": "0.8"},
         {"max_actions": 3.0},
         {"mount": None},
@@ -601,6 +601,23 @@ class TestDumpMap:
             assert len(values) == ncols
             assert all(0 <= v <= 255 for v in values)
 
+    def test_a_pose_with_no_cell_is_drawn_outside_the_box(self, trace_dir,
+                                                          capsys):
+        # the pose over a 1e-320 m cell overflows a float: it has no cell
+        path = trace_dir / "step_0" / "map.txt"
+        path.write_text(re.sub(r"^cell_size .*$", "cell_size 1e-320",
+                               path.read_text(encoding="utf-8"), flags=re.M),
+                        encoding="utf-8")
+        code = run_cli("dump-map", "--trace", str(trace_dir), "--step",
+                       "0")
+        out, err = capsys.readouterr()
+        matrix_text = (trace_dir / "step_0" / "matrix.txt").read_text(
+            encoding="utf-8")
+        assert code == EXIT_OK
+        assert err == ""
+        assert out.startswith(matrix_text)
+        assert "@" not in out[len(matrix_text):]
+
     def test_missing_step_is_a_usage_error(self, trace_dir, capsys):
         code = run_cli("dump-map", "--trace", str(trace_dir), "--step",
                        "9")
@@ -760,20 +777,136 @@ class TestStartUp:
         assert proc.stdout == "[]\n"
 
     def test_only_the_remote_backend_loads_requests_and_nothing_scipy(self):
-        # Start-up pays for every import; scipy is never needed and
-        # requests only once a remote backend is built.
+        # Start-up pays for every import; scipy is never needed,
+        # requests only once a remote backend is built, and
+        # concurrent.futures only by a run with --parallel above 1.
         env = dict(os.environ)
         env["PYTHONPATH"] = os.pathsep.join(
             p for p in (str(REPO_ROOT / "src"), env.get("PYTHONPATH")) if p)
-        code = (
-            "import sys\n"
-            "import stmrnav, stmrnav.cli\n"
-            "print(sorted(m for m in ('scipy', 'requests')"
-            " if m in sys.modules))\n"
-            "stmrnav.planner.RemoteBackend('http://x')\n"
-            "print(sorted(m for m in ('scipy', 'requests')"
-            " if m in sys.modules))\n")
+        loaded = ("print(sorted(m for m in ('scipy', 'requests',"
+                  " 'concurrent.futures') if m in sys.modules))\n")
+        code = ("import sys\n"
+                "import stmrnav, stmrnav.cli\n" + loaded +
+                "stmrnav.planner.RemoteBackend('http://x')\n" + loaded)
         proc = subprocess.run([sys.executable, "-c", code], env=env,
                               capture_output=True, text=True, timeout=60)
         assert proc.returncode == 0, proc.stderr
         assert proc.stdout.splitlines() == ["[]", "['requests']"]
+
+
+# The CLI in a subprocess whose address space is capped, so that a run
+# that allocates without bound stops with a MemoryError instead of taking
+# the machine's memory.
+AS_LIMIT = 1 << 30
+CAPPED_CLI = (
+    "import resource, sys\n"
+    f"resource.setrlimit(resource.RLIMIT_AS, ({AS_LIMIT}, {AS_LIMIT}))\n"
+    "from stmrnav.cli import main\n"
+    "sys.exit(main(sys.argv[1:]))\n")
+FIXTURES = REPO_ROOT / "src" / "stmrnav" / "fixtures"
+
+
+def run_cli_capped(*argv):
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (str(REPO_ROOT / "src"), env.get("PYTHONPATH")) if p)
+    return subprocess.run(
+        [sys.executable, "-c", CAPPED_CLI, *map(str, argv)], env=env,
+        capture_output=True, text=True, timeout=60)
+
+
+class TestBoundaryUnderAMemoryCap:
+    def test_run_refuses_a_start_outside_the_scene(self, tmp_path):
+        # Flown, the first action clips the pose into the scene, and the
+        # trail is then marked every 2.5 m across 1e12 m.
+        far = "1e12 100.0 30.0 0.0 0.0 0.0"
+        text = (FIXTURES / "ep001.episode").read_text(encoding="utf-8")
+        text = re.sub(r"^start .*$", f"start {far}", text, flags=re.M)
+        text = re.sub(r"^path .*$", f"path {far}", text, count=1,
+                      flags=re.M)
+        episode = tmp_path / "far.episode"
+        episode.write_text(text, encoding="utf-8")
+        out = tmp_path / "out"
+        proc = run_cli_capped(
+            "run", "--scene", FIXTURES / "riverside.scene",
+            "--episodes", episode, "--out", out,
+            "--backend", f"scripted:{FIXTURES / 'scripts' / 'ep001.txt'}")
+        assert proc.returncode == EXIT_DATA
+        assert proc.stderr == (f"data error: {episode}: start (1e+12, 100) "
+                               "outside scene bounds 600 x 600\n")
+        assert not out.exists()
+
+    @pytest.mark.parametrize("tiny", [0.001, 1e-320])
+    def test_a_tiny_voxel_size_is_an_unknown_key(self, tmp_path, tiny):
+        config = tmp_path / "loop.json"
+        config.write_text(json.dumps({"voxel_size": tiny, "r": tiny}),
+                          encoding="utf-8")
+        proc = run_cli_capped(
+            "run", "--scene", FIXTURES / "riverside.scene",
+            "--episodes", FIXTURES / "ep001.episode", "--config", config)
+        assert proc.returncode == EXIT_USAGE
+        assert proc.stderr == (
+            "configuration error: unknown config keys: voxel_size\n")
+
+
+# Values of every JSON kind, with the edge cases of each: bools (an int
+# subclass), huge and negative ints, floats near 0 and 1e308, subnormals,
+# non-finite floats, strings and nested lists.
+JSON_VALUE = st.recursive(
+    st.one_of(
+        st.none(), st.booleans(), st.text(max_size=6),
+        st.integers(-2**70, 2**70),
+        st.sampled_from([0, 10**400, -10**30]),
+        st.floats(),
+        st.sampled_from([5e-324, 1e-310, 1e308, -1e308])),
+    lambda inner: st.lists(inner, max_size=3), max_leaves=4)
+# Accepted values, so that some runs get past the config to the episode.
+GOOD_VALUES = {
+    "tau": st.floats(0.05, 0.95),
+    "r": st.sampled_from([5, 10.0, 1280.0]),
+    "matrix_size": st.sampled_from([2, 20, 1024]),
+    "mount": st.sampled_from(list(evaluation.MOUNTS)),
+    "plan_mode": st.sampled_from(evaluation.PLAN_MODES),
+    "map_format": st.sampled_from(evaluation.MAP_FORMATS),
+    "max_actions": st.integers(1, 3),
+    "template": st.sampled_from(["go {instruction}", "go {nowhere}"]),
+}
+CONFIG = st.one_of(
+    st.fixed_dictionaries({}, optional={
+        key: st.one_of(good, good, JSON_VALUE)
+        for key, good in GOOD_VALUES.items()}),
+    st.dictionaries(st.sampled_from(sorted(_CONFIG_KEYS)
+                                    + ["voxel_size", "banana"]),
+                    JSON_VALUE, max_size=3))
+# Points inside the 600 m riverside scene, or with any coordinate far
+# outside it, below the ground or at its edge.
+COORD = st.sampled_from([-1e300, -1e12, -1.0, 0.0, 600.0, 1e12, 1e300])
+POINT = st.one_of(
+    st.tuples(st.floats(1.0, 599.0), st.floats(1.0, 599.0),
+              st.floats(1.0, 200.0)),
+    st.tuples(st.one_of(COORD, st.floats(1.0, 599.0)),
+              st.one_of(COORD, st.floats(1.0, 599.0)),
+              st.one_of(COORD, st.floats(-10.0, 10.0))))
+
+
+class TestFuzzedRunInput:
+    @given(config=CONFIG, start=POINT, goal=POINT,
+           backend=st.sampled_from(["echo", "random"]))
+    @settings(max_examples=35, deadline=None, derandomize=True,
+              database=None)
+    def test_exits_with_a_documented_code_and_no_traceback(
+            self, tmp_path_factory, config, start, goal, backend):
+        work = tmp_path_factory.mktemp("fuzz")
+        (work / "loop.json").write_text(json.dumps(config),
+                                        encoding="utf-8")
+        pose = " ".join(map(repr, start)) + " 0.0 0.0 0.0"
+        (work / "fz.episode").write_text(
+            "stmr-episode v1\nid fz\ninstruction fly to the road\n"
+            f"start {pose}\ngoal {' '.join(map(repr, goal))}\n"
+            f"max_actions 3\npath {pose}\n", encoding="utf-8")
+        proc = run_cli_capped(
+            "run", "--scene", FIXTURES / "riverside.scene",
+            "--episodes", work / "fz.episode", "--config",
+            work / "loop.json", "--backend", backend, "--max-actions", "1")
+        assert proc.returncode in (EXIT_OK, EXIT_DATA, EXIT_USAGE)
+        assert "Traceback" not in proc.stderr

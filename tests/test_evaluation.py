@@ -28,6 +28,8 @@ from hypothesis import strategies as st
 from stmrnav import evaluation
 from stmrnav.errors import PlanningBackendError, StmrNavError, TemplateError
 from stmrnav.evaluation import (
+    MAX_UNPARSEABLE,
+    REQUERY_LIMIT,
     EpisodeResult,
     LoopConfig,
     StepTrace,
@@ -273,22 +275,22 @@ class TestLoopConfig:
         {"tau": 1.0},
         {"matrix_size": 15},
         {"matrix_size": 0},
-        {"voxel_size": 0.0},
-        {"r": 7.5},                       # not a multiple of voxel_size
+        {"r": 0.0},
+        {"r": 7.5},                       # not a multiple of VOXEL_SIZE
         {"r": 2.5},                       # rounds to zero blocks
-        {"max_range": 0.0},
-        {"margin": -0.1},
+        {"r": -5.0},
+        {"r": 5.000001},
         {"mount": "sideways"},
         {"plan_mode": "amnesiac"},
         {"map_format": "hologram"},
-        {"requery_limit": -1},
-        {"max_unparseable": 0},
+        {"matrix_size": -2},
+        {"max_actions": -1},
         {"max_actions": 0},
         {"matrix_size": 100000},          # window side beyond the cap
         {"matrix_size": 10**30},
         {"matrix_size": 10**400},         # beyond a float
         {"r": 1e308},
-        {"voxel_size": 1e-300},
+        {"r": 5e-324},                    # a subnormal
         {"matrix_size": 4, "r": 1285.0},  # 4 * 257 cells
     ])
     def test_invalid_values_are_rejected(self, kwargs):
@@ -301,7 +303,7 @@ class TestLoopConfig:
         LoopConfig(matrix_size=evaluation.MAX_WINDOW_CELLS).validate()
 
     def test_float_fields_take_integers(self):
-        LoopConfig(r=10, voxel_size=5, max_range=100, margin=0).validate()
+        LoopConfig(r=10).validate()
 
     def test_template_placeholders_are_checked(self):
         LoopConfig(template="go {instruction} on {size}x{size}").validate()
@@ -309,8 +311,8 @@ class TestLoopConfig:
             LoopConfig(template="go {nowhere}").validate()
 
     def test_block_is_cells_per_matrix_entry(self):
-        assert LoopConfig(r=5.0, voxel_size=5.0).block == 1
-        assert LoopConfig(r=10.0, voxel_size=5.0).block == 2
+        assert LoopConfig(r=5.0).block == 1
+        assert LoopConfig(r=10.0).block == 2
 
     def test_mount_matrix_selection(self):
         assert LoopConfig(mount="forward").mount_matrix is FORWARD_MOUNT
@@ -357,13 +359,14 @@ class TestRunEpisode:
     def test_persistent_garbage_falls_back_then_aborts(self, wall_scene,
                                                        ep_north):
         backend = ScriptedBackend(["gibberish"] * 10)
-        config = LoopConfig(requery_limit=0, max_unparseable=2)
-        result = run_episode(wall_scene, ep_north, backend, config=config)
+        result = run_episode(wall_scene, ep_north, backend)
         assert result.stopped_by == "error"
-        assert result.steps == 2
+        assert result.steps == MAX_UNPARSEABLE
         for trace in result.step_traces:
             assert trace.action == Action("straight", 0.0, 0.0)
             assert "no parseable response; holding position" in trace.notes
+            assert sum(n.startswith("attempt ") for n in trace.notes) == \
+                REQUERY_LIMIT + 1
         assert result.stop_pose.position == pytest.approx(
             ep_north.start.position)
         assert result.success is False

@@ -192,7 +192,7 @@ class TestBackprojectImage:
         depth = np.zeros((K.height, K.width))
         depth[10, 20] = 8.0
         depth[30, 40] = 25.0
-        depth[5, 5] = 150.0      # beyond max_range, must be dropped
+        depth[5, 5] = 150.0      # beyond MAX_RANGE, must be dropped
         depth[7, 7] = math.nan   # not finite, must be dropped
         labels = np.zeros((K.height, K.width), dtype=np.int64)
         labels[10, 20] = 3
@@ -204,7 +204,7 @@ class TestBackprojectImage:
     def test_matches_per_pixel_composition_exactly(self):
         depth, labels = self.make_depth()
         pose = UavPose(5, -3, 12, pitch=0.1, yaw=2.0)
-        cloud = backproject_image(depth, labels, K, pose, max_range=100.0)
+        cloud = backproject_image(depth, labels, K, pose)
         assert cloud.xyz.shape == (2, 3)
         assert list(cloud.labels) == [3, 1]
         for row, (v, u) in zip(cloud.xyz, [(10, 20), (30, 40)]):

@@ -436,8 +436,7 @@ class TestApplyAction:
         # Face at x = 5; flying east from x = 2 with 0.5 margin stops at 4.5.
         scene = small_scene()
         pose = UavPose(2.0, 2.5, 6.0, yaw=0.0)
-        out = apply_action(scene, pose, Action("straight", 0, 10.0),
-                           margin=0.5)
+        out = apply_action(scene, pose, Action("straight", 0, 10.0))
         assert out.collision
         assert out.reason == "blocked by building"
         assert out.pose.x == pytest.approx(4.5, abs=1e-12)
@@ -446,15 +445,14 @@ class TestApplyAction:
         # Face at x = 5, target x = 4.5 = face - margin: allowed in full.
         scene = small_scene()
         pose = UavPose(2.0, 2.5, 6.0, yaw=0.0)
-        out = apply_action(scene, pose, Action("straight", 0, 2.5),
-                           margin=0.5)
+        out = apply_action(scene, pose, Action("straight", 0, 2.5))
         assert not out.collision
         assert out.pose.x == pytest.approx(4.5, abs=1e-12)
 
     def test_down_lands_margin_above_ground(self):
         scene = small_scene()
         pose = UavPose(2.5, 2.5, 3.0)
-        out = apply_action(scene, pose, Action("down", 0, 10.0), margin=0.5)
+        out = apply_action(scene, pose, Action("down", 0, 10.0))
         assert out.collision
         assert out.pose.z == pytest.approx(0.5, abs=1e-12)
         assert out.reason == "blocked by road"
@@ -462,8 +460,7 @@ class TestApplyAction:
     def test_boundary_clamp_reports_scene_boundary(self):
         scene = small_scene()
         pose = UavPose(2.5, 2.5, 11.0, yaw=math.pi)  # facing west
-        out = apply_action(scene, pose, Action("straight", 0, 10.0),
-                           margin=0.5)
+        out = apply_action(scene, pose, Action("straight", 0, 10.0))
         assert out.collision
         assert out.reason == "scene boundary"
         assert out.pose.x == pytest.approx(0.5, abs=1e-12)
@@ -485,7 +482,7 @@ class TestApplyAction:
     def test_lift_under_canopy_stops_below_the_band(self):
         scene = small_scene()
         pose = UavPose(12.5, 7.5, 2.0)
-        out = apply_action(scene, pose, Action("lift", 0, 10.0), margin=0.5)
+        out = apply_action(scene, pose, Action("lift", 0, 10.0))
         assert out.collision
         assert out.pose.z == pytest.approx(3.5, abs=1e-12)
         assert out.reason == "blocked by canopy"

@@ -21,7 +21,6 @@ import os
 
 import numpy as np
 
-from stmrnav.evaluation import LoopConfig
 from stmrnav.geometry import UavPose
 from stmrnav.planner import Action, serialize_action
 from stmrnav.world import apply_action, parse_scene
@@ -32,7 +31,6 @@ FIXTURES = os.path.normpath(
 
 N = 120          # cells per side
 CS = 5.0         # meters per cell
-MARGIN = LoopConfig().margin
 
 NORTH = math.pi / 2
 EAST = 0.0
@@ -165,8 +163,7 @@ def simulate(scene, episode_id, start, actions):
     path = [pose]
     length = 0.0
     for verb, deg, dist in actions:
-        outcome = apply_action(scene, pose, Action(verb, deg, dist),
-                               margin=MARGIN)
+        outcome = apply_action(scene, pose, Action(verb, deg, dist))
         assert not outcome.collision, (
             f"{episode_id}: authored action ({verb},{deg},{dist}) at "
             f"{pose} collides: {outcome.reason}")
