@@ -84,7 +84,7 @@ from .stmr import (
     pool_to_matrix,
     serialize_matrix,
 )
-from .world import Episode, Scene, apply_action, render
+from .world import Episode, Scene, apply_action, place_violations, render
 
 DEFAULT_INTRINSICS = CameraIntrinsics(fx=40.0, fy=40.0, cx=31.5, cy=23.5,
                                       width=64, height=48)
@@ -563,8 +563,11 @@ def run_suite(scene: Scene, episodes, backend_factory,
     (backends hold per-episode state such as script position);
     ``perceptor_factory`` likewise, defaulting to the oracle.  Results
     come back in input order regardless of scheduling.  An empty
-    episode list, or two episodes with one id (they would share a trace
-    directory), is a ValueError, raised before ``out_dir`` is created.
+    episode list, two episodes with one id (they would share a trace
+    directory), or an episode whose start lies outside ``scene`` or not
+    above its ground (``world.place_violations``) is a ValueError,
+    raised before ``out_dir`` is created.  The goal is only scored, so
+    it may lie anywhere.
     ``out_dir`` is then created before the first episode starts, so one
     that cannot be a directory fails before any backend is built.
 
@@ -592,6 +595,11 @@ def run_suite(scene: Scene, episodes, backend_factory,
     ids = [episode.episode_id for episode in episodes]
     if len(set(ids)) < len(ids):
         raise ValueError(f"episode id {max(ids, key=ids.count)!r} repeats")
+    for episode in episodes:
+        violations = place_violations(scene, "start", episode.start.position)
+        if violations:
+            raise ValueError(f"episode {episode.episode_id!r}: "
+                             f"{violations[0]}")
     if out_dir is not None:
         os.makedirs(out_dir, exist_ok=True)
 

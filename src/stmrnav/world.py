@@ -12,12 +12,16 @@ x-cells (east) and j counts y-cells (north); data row k of a scene file
 covers the y band [k*cell_size, (k+1)*cell_size).  The scene occupies
 [0, nx*cell_size) x [0, ny*cell_size) in world coordinates.
 
-Rendering first drops the pixel rays that a max-height pyramid of the
-scene proves cannot reach any surface, then marches the rest through the
-grid with the Amanatides-Woo traversal, vectorized across rays: each
-step advances every ray still in flight by one cell, and a ray leaves
-the working set as soon as it hits, leaves the scene, passes the range
-limit, or can no longer come down to any surface.  Ray directions are
+A frame whose image columns each share one horizontal direction (a
+level camera) is rendered by walking each column's cells once for all
+its rays, each ray's hit tests starting where a max-height bound lets
+it first reach a surface.  Any other frame first drops the pixel rays
+that a max-height pyramid of the scene proves cannot reach any surface,
+then marches the rest through the grid with the Amanatides-Woo
+traversal, vectorized across rays: each step advances every ray still
+in flight by one cell, and a ray leaves the working set as soon as it
+hits, leaves the scene, passes the range limit, or can no longer come
+down to any surface.  Ray directions are
 left unnormalized at ((u-cx)/fx, (v-cy)/fy, 1) in the camera frame so
 the hit parameter t is exactly the planar depth stored in the depth
 image: back-projecting a rendered pixel with its stored depth reproduces
@@ -48,6 +52,8 @@ _T_MAX = float(np.finfo(np.float64).max)
 _QUARTERS = np.linspace(0.0, 1.0, 5)[:, None]
 # Relative slack of the miss test over the rounding in z and hit times.
 _CLEAR_SLACK = 1e-6
+# Steps of the hit tests each pass of ``march_columns`` runs per ray.
+_CHUNK = 4
 MARGIN = 0.5           # meters of collision standoff
 
 
@@ -384,20 +390,24 @@ def load_episode(path) -> Episode:
     return parse_episode(read_text(path))
 
 
-def episode_violations(scene: Scene, episode: Episode) -> list[str]:
-    """Why ``episode`` cannot be flown in ``scene``: a start or goal
+def place_violations(scene: Scene, name: str, point) -> list[str]:
+    """Why the point (x, y, z) called ``name`` is no place in ``scene``:
     outside the scene bounds or not above the ground.  Empty if none."""
+    x, y, z = point
     ext_x, ext_y = scene.extent
-    violations = []
-    for name, (x, y, z) in (
-            ("start", (episode.start.x, episode.start.y, episode.start.z)),
-            ("goal", tuple(episode.goal))):
-        if not (0 <= x < ext_x and 0 <= y < ext_y):
-            violations.append(f"{name} ({x:g}, {y:g}) outside scene "
-                              f"bounds {ext_x:g} x {ext_y:g}")
-        elif z <= 0:
-            violations.append(f"{name} altitude {z:g} is not above ground")
-    return violations
+    if not (0 <= x < ext_x and 0 <= y < ext_y):
+        return [f"{name} ({x:g}, {y:g}) outside scene bounds "
+                f"{ext_x:g} x {ext_y:g}"]
+    if z <= 0:
+        return [f"{name} altitude {z:g} is not above ground"]
+    return []
+
+
+def episode_violations(scene: Scene, episode: Episode) -> list[str]:
+    """Why ``episode`` does not fit ``scene``: a start or goal outside
+    the scene bounds or not above the ground.  Empty if none."""
+    return (place_violations(scene, "start", episode.start.position)
+            + place_violations(scene, "goal", episode.goal))
 
 
 # ---------------------------------------------------------------------------
@@ -466,6 +476,70 @@ def _proven_misses(scene: Scene, origin: np.ndarray, dirs: np.ndarray,
     return (np.minimum(z[:-1], z[1:]) > peak + margin).all(axis=0)
 
 
+def _walk_start(scene: Scene, ox: float, oy: float, te: np.ndarray,
+                dx: np.ndarray, dy: np.ndarray):
+    """Where the cell walk of rays that enter the grid at ``te`` starts:
+    the flat index of the first cell in the padded grids, its change per
+    x and per y step, the times of the first x and y crossings, and the
+    times between crossings."""
+    cs = scene.cell_size
+    row = scene.nx + 2
+    px = ox + dx * te
+    py = oy + dy * te
+    ix = np.clip(np.floor(px / cs).astype(np.int64), 0, scene.nx - 1)
+    iy = np.clip(np.floor(py / cs).astype(np.int64), 0, scene.ny - 1)
+    step_x = np.where(dx > 0, 1, -1).astype(np.int64)
+    step_y = np.where(dy > 0, row, -row).astype(np.int64)
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        next_x = np.where(dx > 0, (ix + 1) * cs, ix * cs)
+        next_y = np.where(dy > 0, (iy + 1) * cs, iy * cs)
+        t_max_x = np.where(dx != 0, te + (next_x - px) / dx, np.inf)
+        t_max_y = np.where(dy != 0, te + (next_y - py) / dy, np.inf)
+        t_delta_x = np.where(dx != 0, cs / np.abs(dx), np.inf)
+        t_delta_y = np.where(dy != 0, cs / np.abs(dy), np.inf)
+    return ((iy + 1) * row + ix + 1, step_x, step_y, t_max_x, t_max_y,
+            t_delta_x, t_delta_y)
+
+
+def _hit_tests(oz: float, hi, lo, z0, t_cur, t1, adz, adz_down, t_g):
+    """The hit tests of one step of the walk, for rays that enter a cell
+    (band top ``hi``, canopy underside ``lo``, -inf if none) at ``t_cur``
+    and height ``z0`` and leave it at ``t1``.  ``adz_down`` is dz where
+    it is negative and NaN elsewhere; ``t_g`` is when the ray comes down
+    to the ground.  Returns which rays hit, their hit times (meaningful
+    where they hit) and which hit the ground under a canopy, or None if
+    no cell has a canopy.  Runs under the caller's errstate."""
+    # descending onto the top of the band
+    t_top = (hi - oz) / adz_down
+    if lo.max() == -np.inf:
+        # entered the cell already inside the occupied band; the two
+        # tests exclude each other, as z0 > hi when it fails
+        inband = z0 <= hi
+        return inband | (t_top <= t1), np.where(inband, t_cur, t_top), None
+    inf = np.inf
+    canopy = lo > -inf
+    c1 = np.where((z0 >= lo) & (z0 <= hi), t_cur, inf)
+    c2 = np.where((z0 > hi) & (t_top <= t1), t_top, inf)
+    # ascending into the underside of an elevated band
+    t_bot = (lo - oz) / adz
+    c3 = np.where(canopy & (adz > 0) & (z0 < lo) & (t_bot <= t1), t_bot, inf)
+    # descending to the ground beneath an elevated band
+    c4 = np.where(canopy & (adz < 0) & (t_g >= t_cur) & (t_g <= t1), t_g,
+                  inf)
+    t_best = np.minimum(np.minimum(c1, c2), c3)
+    # strict, as argmin over (c1, c2, c3, c4) keeps the first
+    under = c4 < t_best
+    t_best = np.minimum(t_best, c4)
+    return np.isfinite(t_best), t_best, under
+
+
+def _hit_labels(scene: Scene, label, cell, under, hit):
+    """The labels of the rays ``_hit_tests`` found to ``hit``."""
+    if under is None:
+        return label[cell[hit]]
+    return np.where(under[hit], scene.under_label, label[cell[hit]])
+
+
 def march_rays(scene: Scene, origin: np.ndarray, dirs: np.ndarray,
                t_limit: float):
     """Trace rays from a common origin through the height field.
@@ -480,22 +554,25 @@ def march_rays(scene: Scene, origin: np.ndarray, dirs: np.ndarray,
     on every ray but those that come down to the ground before they
     leave, which hit).  Every other ray that enters the scene walks the
     grid cell by cell (Amanatides-Woo), vectorized across rays: its
-    state is packed into one float and one index array.  A ray finishes once it hits, steps off the grid,
-    passes ``t_limit``, or is not descending and already above the
-    tallest cell.  A finished ray is parked on the grids' sink cell,
-    where no hit test fires and its cell steps are 0; the arrays are
-    compacted to the live rays only when fewer than half of their
-    columns are live.  The canopy tests run only on steps where some
-    live ray is over a cell with positive clearance.  Each ray goes
-    through the same floating-point operations whatever other rays are
-    traced with it.
+    state is packed into one float and one index array.  A ray finishes
+    once it hits, steps off the grid, passes ``t_limit``, or is not
+    descending and already above the tallest cell.  A finished ray is
+    parked on the grids' sink cell, where no hit test fires and its cell
+    steps are 0; the arrays are compacted to the live rays only when
+    fewer than half of their columns are live.  The canopy tests run
+    only on steps where some live ray is over a cell with positive
+    clearance.  Each ray goes through the same floating-point operations
+    whatever other rays are traced with it.
+
+    ``render`` sends a frame whose columns share their (dx, dy) to
+    ``march_columns`` instead, which returns the same bytes; every other
+    frame, and every ``cast_ray``, comes here.
     """
     dirs = np.asarray(dirs, dtype=np.float64)
     n = dirs.shape[0]
     ox, oy, oz = (float(origin[0]), float(origin[1]), float(origin[2]))
     dx, dy, dz = dirs[:, 0], dirs[:, 1], dirs[:, 2]
     ext_x, ext_y = scene.extent
-    cs = scene.cell_size
 
     t_hit = np.zeros(n)
     hit_label = np.zeros(n, dtype=np.int64)
@@ -525,23 +602,9 @@ def march_rays(scene: Scene, origin: np.ndarray, dirs: np.ndarray,
     idx = np.nonzero(active)[0]
     te = t_enter[idx]
     tx = t_exit[idx]
-    adx, ady, adz = dx[idx], dy[idx], dz[idx]
-    px = ox + adx * te
-    py = oy + ady * te
-    ix = np.clip(np.floor(px / cs).astype(np.int64), 0, scene.nx - 1)
-    iy = np.clip(np.floor(py / cs).astype(np.int64), 0, scene.ny - 1)
-
-    step_x = np.where(adx > 0, 1, -1).astype(np.int64)
-    step_y = np.where(ady > 0, 1, -1).astype(np.int64)
-    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        next_x = np.where(adx > 0, (ix + 1) * cs, ix * cs)
-        next_y = np.where(ady > 0, (iy + 1) * cs, iy * cs)
-        t_max_x = np.where(adx != 0, te + (next_x - px) / adx, np.inf)
-        t_max_y = np.where(ady != 0, te + (next_y - py) / ady, np.inf)
-        t_delta_x = np.where(adx != 0, cs / np.abs(adx), np.inf)
-        t_delta_y = np.where(ady != 0, cs / np.abs(ady), np.inf)
-
-    row = scene.nx + 2
+    adz = dz[idx]
+    cell, step_x, step_y, t_max_x, t_max_y, t_delta_x, t_delta_y = (
+        _walk_start(scene, ox, oy, te, dx[idx], dy[idx]))
     sink = height.size - 1
     # From the first step on t never decreases, and with it (rounding is
     # monotone) neither does z along a ray with adz >= 0: once such a ray
@@ -554,9 +617,8 @@ def march_rays(scene: Scene, origin: np.ndarray, dirs: np.ndarray,
                      t_delta_y, adz, adz_down, tx, tx - _MISS_EPS, z_cap,
                      t_g[idx]])
     # flat cell index, its change per x and per y step, output row
-    cells = np.stack([(iy + 1) * row + ix + 1, step_x, step_y * row, idx])
+    cells = np.stack([cell, step_x, step_y, idx])
     live = idx.size
-    inf = np.inf
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         for _ in range(scene.nx + scene.ny + 4):
             if not live:
@@ -564,43 +626,16 @@ def march_rays(scene: Scene, origin: np.ndarray, dirs: np.ndarray,
             (t_cur, z0, t_max_x, t_max_y, t_delta_x, t_delta_y, adz,
              adz_down, tx, tx_eps, z_cap, t_g) = rays
             cell, step_x, step_y, rows = cells
-            hi = height[cell]
             pick_x = t_max_x <= t_max_y
             t_next = np.where(pick_x, t_max_x, t_max_y)
-            t1 = np.minimum(t_next, tx)
-            # descending onto the top of the band
-            t_top = (hi - oz) / adz_down
-            lo = canopy_lo[cell]
-            if lo.max() == -inf:
-                # entered the cell already inside the occupied band; the
-                # two tests exclude each other, as z0 > hi when it fails
-                inband = z0 <= hi
-                hit = inband | (t_top <= t1)
-                if hit.any():
-                    hit_rows = rows[hit]
-                    t_hit[hit_rows] = np.where(inband, t_cur, t_top)[hit]
-                    hit_label[hit_rows] = label[cell[hit]]
-            else:
-                canopy = lo > -inf
-                c1 = np.where((z0 >= lo) & (z0 <= hi), t_cur, inf)
-                c2 = np.where((z0 > hi) & (t_top <= t1), t_top, inf)
-                # ascending into the underside of an elevated band
-                t_bot = (lo - oz) / adz
-                c3 = np.where(canopy & (adz > 0) & (z0 < lo) & (t_bot <= t1),
-                              t_bot, inf)
-                # descending to the ground beneath an elevated band
-                c4 = np.where(canopy & (adz < 0) & (t_g >= t_cur)
-                              & (t_g <= t1), t_g, inf)
-                t_best = np.minimum(np.minimum(c1, c2), c3)
-                # strict, as argmin over (c1, c2, c3, c4) keeps the first
-                under = c4 < t_best
-                t_best = np.minimum(t_best, c4)
-                hit = np.isfinite(t_best)
-                if hit.any():
-                    hit_rows = rows[hit]
-                    t_hit[hit_rows] = t_best[hit]
-                    hit_label[hit_rows] = np.where(
-                        under[hit], scene.under_label, label[cell[hit]])
+            hit, t_best, under = _hit_tests(
+                oz, height[cell], canopy_lo[cell], z0, t_cur,
+                np.minimum(t_next, tx), adz, adz_down, t_g)
+            if hit.any():
+                hit_rows = rows[hit]
+                t_hit[hit_rows] = t_best[hit]
+                hit_label[hit_rows] = _hit_labels(scene, label, cell, under,
+                                                  hit)
 
             np.add(t_max_x, t_delta_x, out=t_max_x, where=pick_x)
             np.add(t_max_y, t_delta_y, out=t_max_y, where=~pick_x)
@@ -623,6 +658,132 @@ def march_rays(scene: Scene, origin: np.ndarray, dirs: np.ndarray,
     return t_hit, hit_label
 
 
+def _crossings(t0: np.ndarray, dt: np.ndarray, cells: int,
+               t_stop: np.ndarray) -> np.ndarray:
+    """Each column's times of crossing grid lines of one axis, t0, t0 +
+    dt, ..., summed as the walk's ``+=`` sums them: through the first at
+    or past the column's ``t_stop``, or ``cells`` of them, by which the
+    walk has left the grid.  Runs under the caller's errstate."""
+    need = float(((t_stop - t0) / dt).max()) + 2
+    n = int(min(max(need, 1.0), cells)) if need == need else cells
+    while True:
+        chain = np.empty((t0.size, n))
+        chain[:, 0] = t0
+        chain[:, 1:] = dt[:, None]
+        np.add.accumulate(chain, axis=1, out=chain)
+        if n == cells or (chain[:, -1] >= t_stop).all():
+            return chain
+        n = cells
+
+
+def _slope_bound(num: np.ndarray, t: np.ndarray) -> np.ndarray:
+    """``num / t``, the largest dz with which a ray's z at ``t`` is at
+    most ``num`` above the origin: +inf where that gives no bound (t < 0
+    or NaN), and at t = 0 -inf if ``num`` is negative, else +inf."""
+    bound = np.where(t > 0, num / t,
+                     np.where((t == 0) & (num < 0), -np.inf, np.inf))
+    bound[np.isnan(bound)] = np.inf
+    return bound
+
+
+def march_columns(scene: Scene, origin: np.ndarray, dirs: np.ndarray,
+                  t_limit: float):
+    """``march_rays`` for an image whose columns each share one
+    horizontal direction, with the same bytes out.
+
+    ``dirs`` is (rows, cols, 3) and every row has the (dx, dy) of row 0,
+    zeros of either sign alike; the result is ``march_rays`` on
+    ``dirs.reshape(-1, 3)``.  The cells a ray walks, and when it enters
+    and leaves each, depend only on the origin, dx and dy, so each
+    column's walk is built once for all its rays: the x and y crossing
+    times are running sums, merged as the walk takes them (x first on
+    ties), and a cumsum gives the cells.  A ray can hit in a step only if
+    its dz is at most the step's slope bound (max(height, 0) - oz +
+    slack) / t, with t where the step ends for a descending ray and where
+    it starts for a climbing one.  The count of a column's running maxima
+    of the bounds below a ray's dz is its first possible step: past the
+    column's last step the ray misses, and otherwise it runs the hit
+    tests of ``march_rays`` from there, ``_CHUNK`` steps a pass, until it
+    hits or the walk ends.
+    """
+    dirs = np.asarray(dirs, dtype=np.float64)
+    n_rows, n_cols = dirs.shape[:2]
+    ox, oy, oz = (float(origin[0]), float(origin[1]), float(origin[2]))
+    ext_x, ext_y = scene.extent
+    t_hit = np.zeros(n_rows * n_cols)
+    hit_label = np.zeros(n_rows * n_cols, dtype=np.int64)
+
+    height, label, canopy_lo, inside, _ = scene._march_grids
+    with np.errstate(all="ignore"):
+        t_enter = np.zeros(n_cols)
+        t_exit = np.full(n_cols, min(float(t_limit), _T_MAX))
+        _slab_interval(ox, dirs[0, :, 0], 0.0, ext_x, t_enter, t_exit)
+        _slab_interval(oy, dirs[0, :, 1], 0.0, ext_y, t_enter, t_exit)
+        cols = np.flatnonzero(t_enter < t_exit)
+        if not cols.size:
+            return t_hit, hit_label
+        te, tx = t_enter[cols], t_exit[cols]
+        dz = dirs[:, cols, 2]
+        cell, step_x, step_y, t_max_x, t_max_y, t_delta_x, t_delta_y = (
+            _walk_start(scene, ox, oy, te, dirs[0, cols, 0],
+                        dirs[0, cols, 1]))
+        tx_eps = tx - _MISS_EPS
+        xs = _crossings(t_max_x, t_delta_x, scene.nx, tx_eps)
+        times = np.concatenate(
+            [xs, _crossings(t_max_y, t_delta_y, scene.ny, tx_eps)], axis=1)
+        order = np.argsort(times, axis=1, kind="stable")
+        t_next = np.take_along_axis(times, order, axis=1)
+        cells = np.cumsum(np.concatenate(
+            [cell[:, None], np.where(order < xs.shape[1], step_x[:, None],
+                                     step_y[:, None])], axis=1), axis=1)
+        # a column's walk ends with the step that reaches tx_eps or
+        # leaves the grid, as a ray's walk in march_rays does
+        ends = ~((t_next < tx_eps[:, None])
+                 & inside.take(cells[:, 1:], mode="clip"))
+        n_steps = ends.argmax(axis=1) + 1
+        m = n_steps.max()
+        t_next, cells = t_next[:, :m], cells[:, :m]
+        t_cur = np.concatenate([te[:, None], t_next[:, :-1]], axis=1)
+        t1 = np.minimum(t_next, tx[:, None])
+
+        clear = (np.maximum(height.take(cells, mode="clip"), 0.0) - oz
+                 + _CLEAR_SLACK * (1.0 + abs(oz)))
+        dz_slack = _CLEAR_SLACK * np.abs(dz).max(axis=0)[:, None]
+        t_fall = np.maximum(t_cur, t1)
+        fall = _slope_bound(clear + dz_slack * t_fall, t_fall)
+        climb = _slope_bound(clear + dz_slack * t_cur, t_cur)
+        # a climbing ray can hit only below climb, a descending one only
+        # below fall, and none climbs where climb < 0
+        bound = np.maximum.accumulate(
+            np.where(climb < 0, fall, np.maximum(fall, climb)), axis=1)
+        row, c = np.nonzero(dz <= bound[np.arange(cols.size), n_steps - 1])
+        d = dz[row, c]
+        k = np.count_nonzero(bound[c] < d[:, None], axis=1)
+        ray = row * n_cols + cols[c]
+        d_down = np.where(d < 0, d, np.nan)
+        t_g = np.where(d != 0, -oz / d, np.inf)
+        span = np.arange(_CHUNK)
+        while ray.size:
+            # the last step stands in for the steps past it
+            ks = np.minimum(k[:, None] + span, n_steps[c, None] - 1)
+            cc = c[:, None]
+            cell = cells[cc, ks]
+            tc = t_cur[cc, ks]
+            hit, t_best, under = _hit_tests(
+                oz, height[cell], canopy_lo[cell], d[:, None] * tc + oz, tc,
+                t1[cc, ks], d[:, None], d_down[:, None], t_g[:, None])
+            first_hit = hit & (np.cumsum(hit, axis=1) == 1)
+            done = hit.any(axis=1)
+            t_hit[ray[done]] = t_best[first_hit]
+            hit_label[ray[done]] = _hit_labels(scene, label, cell, under,
+                                               first_hit)
+            k += _CHUNK
+            go = np.flatnonzero(~done & (k < n_steps[c]))
+            ray, c, k, d, d_down, t_g = (
+                a[go] for a in (ray, c, k, d, d_down, t_g))
+    return t_hit, hit_label
+
+
 @lru_cache(maxsize=8)
 def _camera_rays(k: CameraIntrinsics) -> np.ndarray:
     """Read-only (height*width, 3) camera-frame ray of every pixel, row by
@@ -641,11 +802,19 @@ def render(scene: Scene, pose: UavPose, k: CameraIntrinsics,
     """Render depth and semantic images for a camera at ``pose``.
 
     The depth image stores planar camera-frame z; pixels with no surface
-    within ``MAX_RANGE`` hold 0 in both images.
+    within ``MAX_RANGE`` hold 0 in both images.  One array comparison of
+    the pixel rays picks the tracer: if every image row has the (dx, dy)
+    of row 0, as at pitch = roll = 0 on the forward mount, the frame goes
+    to ``march_columns``, which walks each column once; any other frame
+    goes to ``march_rays``.  Both return the same bytes.
     """
     r = camera_to_world_rotation(pose, mount)
-    dirs = _camera_rays(k) @ r.T
-    t_hit, labels = march_rays(scene, pose.position, dirs, MAX_RANGE)
+    dirs = (_camera_rays(k) @ r.T).reshape(k.height, k.width, 3)
+    if (dirs[..., :2] == dirs[:1, :, :2]).all():
+        t_hit, labels = march_columns(scene, pose.position, dirs, MAX_RANGE)
+    else:
+        t_hit, labels = march_rays(scene, pose.position,
+                                   dirs.reshape(-1, 3), MAX_RANGE)
     labels = np.where(t_hit > 0, labels, 0)
     depth = t_hit.reshape(k.height, k.width)
     semantic = labels.reshape(k.height, k.width)

@@ -794,25 +794,29 @@ class TestStartUp:
         assert proc.stdout.splitlines() == ["[]", "['requests']"]
 
 
-# The CLI in a subprocess whose address space is capped, so that a run
-# that allocates without bound stops with a MemoryError instead of taking
-# the machine's memory.
+# Python source run in a subprocess whose address space is capped, so
+# that a run that allocates without bound stops with a MemoryError
+# instead of taking the machine's memory.
 AS_LIMIT = 1 << 30
-CAPPED_CLI = (
-    "import resource, sys\n"
-    f"resource.setrlimit(resource.RLIMIT_AS, ({AS_LIMIT}, {AS_LIMIT}))\n"
-    "from stmrnav.cli import main\n"
-    "sys.exit(main(sys.argv[1:]))\n")
+CAP = ("import resource\n"
+       f"resource.setrlimit(resource.RLIMIT_AS, ({AS_LIMIT}, {AS_LIMIT}))\n")
+CLI = ("import sys\n"
+       "from stmrnav.cli import main\n"
+       "sys.exit(main(sys.argv[1:]))\n")
 FIXTURES = REPO_ROOT / "src" / "stmrnav" / "fixtures"
 
 
-def run_cli_capped(*argv):
+def run_capped(source, *argv):
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
         p for p in (str(REPO_ROOT / "src"), env.get("PYTHONPATH")) if p)
     return subprocess.run(
-        [sys.executable, "-c", CAPPED_CLI, *map(str, argv)], env=env,
+        [sys.executable, "-c", CAP + source, *map(str, argv)], env=env,
         capture_output=True, text=True, timeout=60)
+
+
+def run_cli_capped(*argv):
+    return run_capped(CLI, *argv)
 
 
 class TestBoundaryUnderAMemoryCap:
@@ -910,3 +914,89 @@ class TestFuzzedRunInput:
             work / "loop.json", "--backend", backend, "--max-actions", "1")
         assert proc.returncode in (EXIT_OK, EXIT_DATA, EXIT_USAGE)
         assert "Traceback" not in proc.stderr
+
+
+# What a mutation puts in place of a number: non-finite, huge, tiny and
+# negative-zero floats, integers beyond int64, and forms that float() or
+# int() reads in ways a file format may not mean (hex, underscores,
+# non-ASCII digits) or refuses.
+WEIRD_NUMBER = st.sampled_from([
+    "nan", "-nan", "inf", "-inf", "1e308", "-1e308", "1e999", "1e-320",
+    "5e-324", "-0", "-0.0", "999999999999999999999",
+    "-9223372036854775809", "0x10", "1_000", "+3", "٣", "abc", ""])
+NUMBER = re.compile(r"[-+]?[0-9.]+(e[-+]?[0-9]+)?")
+# A cut at any character, a repeated or deleted line, or a number made
+# weird.  Lines are picked among the first 16, where the headers and
+# directives are, as often as among all.
+MUTATIONS = st.lists(
+    st.tuples(st.sampled_from(["cut", "repeat", "delete", "number"]),
+              st.one_of(st.integers(0, 15), st.integers(0, 10**6)),
+              st.integers(0, 10**6), WEIRD_NUMBER),
+    min_size=1, max_size=3)
+
+
+def mutate(text, mutations):
+    lines = text.split("\n")
+    for kind, line, at, weird in mutations:
+        i = line % len(lines)
+        if kind == "cut":
+            text = "\n".join(lines)
+            lines = text[:at % (len(text) + 1)].split("\n")
+        elif kind == "repeat":
+            lines.insert(i, lines[i])
+        elif kind == "delete" and len(lines) > 1:
+            del lines[i]
+        elif kind == "number":
+            tokens = lines[i].split(" ")
+            numbers = [k for k, token in enumerate(tokens)
+                       if NUMBER.fullmatch(token)]
+            if numbers:
+                tokens[numbers[at % len(numbers)]] = weird
+                lines[i] = " ".join(tokens)
+    return "\n".join(lines)
+
+
+@pytest.fixture(scope="module")
+def fixture_step(tmp_path_factory):
+    """A step of ep001's trace, flown with its script."""
+    out = tmp_path_factory.mktemp("trace")
+    scripts = FIXTURES / "scripts" / "ep001.txt"
+    assert main(["run", "--scene", str(FIXTURES / "riverside.scene"),
+                 "--episodes", str(FIXTURES / "ep001.episode"),
+                 "--backend", f"scripted:{scripts}",
+                 "--out", str(out)]) == EXIT_OK
+    return out / "ep001" / "step_3"
+
+
+def assert_documented_exit(proc):
+    assert proc.returncode in (EXIT_OK, EXIT_DATA, EXIT_USAGE)
+    assert "Traceback" not in proc.stderr
+
+
+class TestFuzzedFiles:
+    @given(mutations=MUTATIONS)
+    @example(mutations=[("number", 2, 0, "1e-320")])
+    @example(mutations=[("cut", 0, 300, "")])
+    @settings(max_examples=16, deadline=None, derandomize=True,
+              database=None)
+    def test_validate_a_mutated_scene(self, tmp_path_factory, mutations):
+        path = tmp_path_factory.mktemp("fuzz") / "riverside.scene"
+        path.write_text(mutate((FIXTURES / "riverside.scene").read_text(
+            encoding="utf-8"), mutations), encoding="utf-8")
+        assert_documented_exit(run_cli_capped("validate", path))
+
+    @given(mutations=MUTATIONS, fmt=st.sampled_from(["ascii", "pgm"]))
+    @example(mutations=[("number", 10, 0, "1e308")], fmt="ascii")
+    @example(mutations=[("number", 11, 1, "-9223372036854775809")],
+             fmt="pgm")
+    @settings(max_examples=16, deadline=None, derandomize=True,
+              database=None)
+    def test_dump_map_of_a_mutated_map(self, tmp_path_factory, fixture_step,
+                                       mutations, fmt):
+        trace = tmp_path_factory.mktemp("fuzz")
+        shutil.copytree(fixture_step, trace / "step_0")
+        path = trace / "step_0" / "map.txt"
+        path.write_text(mutate(path.read_text(encoding="utf-8"), mutations),
+                        encoding="utf-8")
+        assert_documented_exit(run_cli_capped(
+            "dump-map", "--trace", trace, "--step", "0", "--format", fmt))

@@ -57,6 +57,7 @@ from stmrnav.planner import (
 from stmrnav.world import parse_episode, parse_scene
 from conftest import scripted_factory
 from reference_mapping import metric_text_reference
+from test_cli import FIXTURES, run_capped
 
 SCENE_TEXT = """\
 stmr-scene v1
@@ -107,6 +108,29 @@ path 12.5 12.5 0.0 0.0 0.0 0.0
 """
 
 STRAIGHT_ONE = "Action: (straight), (0 degrees), (1 meters)"
+
+# ep001 moved 1e12 m east, run through ``run_suite`` with its script;
+# prints the ValueError the suite raises.  Arguments: the fixture
+# directory and the output directory.
+RUN_SUITE_FROM_FAR = """\
+import re, sys
+from pathlib import Path
+from stmrnav.evaluation import run_suite
+from stmrnav.planner import ScriptedBackend
+from stmrnav.world import load_scene, parse_episode
+fixtures = Path(sys.argv[1])
+far = "1e12 100.0 30.0 0.0 0.0 0.0"
+text = (fixtures / "ep001.episode").read_text(encoding="utf-8")
+text = re.sub(r"^start .*$", "start " + far, text, flags=re.M)
+text = re.sub(r"^path .*$", "path " + far, text, count=1, flags=re.M)
+try:
+    run_suite(load_scene(fixtures / "riverside.scene"), [parse_episode(text)],
+              lambda e, i: ScriptedBackend.from_file(
+                  fixtures / "scripts" / "ep001.txt"),
+              out_dir=sys.argv[2])
+except ValueError as exc:
+    print(exc)
+"""
 
 
 @pytest.fixture()
@@ -760,6 +784,29 @@ class TestRunSuite:
                       lambda e, i: ScriptedBackend([STOP_RESPONSE]),
                       out_dir=out)
         assert not out.exists()
+
+    def test_start_outside_the_scene_is_refused_before_any_write(
+            self, wall_scene, tmp_path):
+        out = tmp_path / "out"
+        episodes = self._episodes()
+        episodes[1] = dataclasses.replace(
+            episodes[1], start=UavPose(2.5, -1.0, 10.0))
+        with pytest.raises(ValueError, match=re.escape(
+                "episode 'ep_b': start (2.5, -1) outside scene bounds")):
+            run_suite(wall_scene, episodes,
+                      lambda e, i: ScriptedBackend([STOP_RESPONSE]),
+                      out_dir=out)
+        assert not out.exists()
+
+    def test_a_start_far_outside_the_scene_is_refused_under_a_memory_cap(
+            self, tmp_path):
+        # Flown, the first action clips the pose into the scene, and the
+        # trail is then marked every 2.5 m across 1e12 m.
+        proc = run_capped(RUN_SUITE_FROM_FAR, FIXTURES, tmp_path / "out")
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout == ("episode 'ep001': start (1e+12, 100) outside "
+                               "scene bounds 600 x 600\n")
+        assert not (tmp_path / "out").exists()
 
 
     def test_out_dir_that_cannot_be_a_directory_fails_before_any_episode(

@@ -1,11 +1,14 @@
-"""Bit-identity of ``world.march_rays`` with the lockstep reference marcher.
+"""Bit-identity of ``world.march_rays`` and ``world.march_columns`` with
+the lockstep reference marcher, and which of the two ``render`` takes.
 
 ``march_rays`` carries only the rays still in flight and skips tests that
-cannot fire; ``reference_marcher.march_rays_reference`` advances every ray
-that entered the scene through every step.  Both must return the same
-bytes: depth, labels, and the sign of every zero.
+cannot fire; ``march_columns`` walks each image column once for all its
+rays; ``reference_marcher.march_rays_reference`` advances every ray that
+entered the scene through every step.  All must return the same bytes:
+depth, labels, and the sign of every zero.
 """
 
+import contextlib
 import math
 import warnings
 from unittest import mock
@@ -15,10 +18,18 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import scripted_factory
 from reference_marcher import march_rays_reference
 from stmrnav import world
-from stmrnav.evaluation import DEFAULT_INTRINSICS
-from stmrnav.geometry import DOWNWARD_MOUNT, FORWARD_MOUNT, UavPose
+from stmrnav.evaluation import DEFAULT_INTRINSICS, run_suite
+from stmrnav.geometry import (
+    DOWNWARD_MOUNT,
+    FORWARD_MOUNT,
+    MAX_RANGE,
+    CameraIntrinsics,
+    UavPose,
+    camera_to_world_rotation,
+)
 from stmrnav.world import Scene
 from test_world import random_scene
 
@@ -68,7 +79,7 @@ def test_fixture_renders_match_the_reference(scene, x, y, z, pitch, roll,
     pose = UavPose(x, y, z, pitch=pitch, roll=roll, yaw=yaw)
     mount = FORWARD_MOUNT if mount == "forward" else DOWNWARD_MOUNT
     got = world.render(scene, pose, DEFAULT_INTRINSICS, mount)
-    with mock.patch.object(world, "march_rays", march_rays_reference):
+    with reference_paths():
         want = world.render(scene, pose, DEFAULT_INTRINSICS, mount)
     assert_same_bytes(got, want)
 
@@ -208,12 +219,15 @@ def test_the_miss_test_drops_most_rays_of_a_forward_frame(scene):
     # Level flight at 30 m over the riverside: the rays that climb from
     # above every top are dropped before the test; most of the rest pass
     # over the scene within the 100 m range and must not be marched.
+    # ``render`` sends such a frame to the column walk, so its rays go to
+    # ``march_rays`` directly.
     pose = UavPose(152.5, 102.5, 30.0, yaw=0.5)
+    dirs = (world._camera_rays(DEFAULT_INTRINSICS)
+            @ camera_to_world_rotation(pose, FORWARD_MOUNT).T)
     patch, seen = spy_on_misses()
     with patch:
-        got = world.render(scene, pose, DEFAULT_INTRINSICS, FORWARD_MOUNT)
-    with mock.patch.object(world, "march_rays", march_rays_reference):
-        want = world.render(scene, pose, DEFAULT_INTRINSICS, FORWARD_MOUNT)
+        got = world.march_rays(scene, pose.position, dirs, MAX_RANGE)
+    want = march_rays_reference(scene, pose.position, dirs, MAX_RANGE)
     assert_same_bytes(got, want)
     dropped = sum(d.shape[0] for d in seen["dropped"])
     assert seen["tested"] > 0
@@ -371,3 +385,208 @@ def test_the_miss_test_keeps_rays_whose_pieces_end_far_off_the_grid():
         miss = world._proven_misses(scene, origin, dirs, np.zeros(2),
                                     np.ones(2))
     assert not miss.any()
+
+
+# ---------------------------------------------------------------------------
+# the column walk (``world.march_columns``) and the path ``render`` takes
+# ---------------------------------------------------------------------------
+
+# Subnormal components, whose quotients overflow, and huge ones.
+EXTREME_COMPONENT = st.sampled_from([5e-324, -5e-324, 1e-310, -1e-310,
+                                     1e300, -1e300])
+IMAGE_SHAPE = st.one_of(st.tuples(st.just(1), st.integers(1, 8)),
+                        st.tuples(st.integers(1, 8), st.just(1)),
+                        st.tuples(st.integers(1, 6), st.integers(1, 6)))
+
+
+def without_canopy(scene):
+    return Scene(cell_size=scene.cell_size, legend=scene.legend,
+                 height=scene.height, label=scene.label,
+                 clearance=np.zeros_like(scene.height),
+                 under_label=scene.under_label)
+
+
+@st.composite
+def column_cases(draw):
+    """A random scene with or without canopy, an origin anywhere or at a
+    cell top (exactly or one ulp off), and directions for a rows x cols
+    image whose columns each share one horizontal direction."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    scene = random_scene(rng)
+    if draw(st.booleans()):
+        scene = without_canopy(scene)
+    if draw(st.booleans()):
+        i = draw(st.integers(0, scene.nx - 1))
+        j = draw(st.integers(0, scene.ny - 1))
+        x = (i + draw(st.floats(0.0, 1.0))) * scene.cell_size
+        y = (j + draw(st.floats(0.0, 1.0))) * scene.cell_size
+        z = nudged(scene.height[j, i], draw(st.integers(-1, 1)))
+    else:
+        x = draw(st.floats(-0.3, 1.3)) * scene.extent[0]
+        y = draw(st.floats(-0.3, 1.3)) * scene.extent[1]
+        z = draw(st.floats(0.0, 15.0))
+    rows, cols = draw(IMAGE_SHAPE)
+    horizontal = st.one_of(COMPONENT, EXTREME_COMPONENT)
+    dirs = np.empty((rows, cols, 3))
+    dirs[:, :, :2] = draw(st.lists(st.tuples(horizontal, horizontal),
+                                   min_size=cols, max_size=cols))
+    dirs[:, :, 2] = np.reshape(draw(st.lists(
+        st.one_of(SLOPE, EXTREME_COMPONENT), min_size=rows * cols,
+        max_size=rows * cols)), (rows, cols))
+    t_limit = draw(st.one_of(st.floats(1.0, 80.0), st.just(math.inf)))
+    return scene, np.array([x, y, z]), dirs, t_limit
+
+
+def march_columns_quietly(scene, origin, dirs, t_limit):
+    """``march_columns`` with every numpy floating-point event and every
+    warning turned into an error."""
+    with np.errstate(all="raise"), warnings.catch_warnings():
+        warnings.simplefilter("error")
+        return world.march_columns(scene, origin, dirs, t_limit)
+
+
+@given(case=column_cases())
+@settings(max_examples=400, deadline=None, derandomize=True, database=None)
+def test_the_column_walk_matches_the_reference(case):
+    scene, origin, dirs, t_limit = case
+    got = march_columns_quietly(scene, origin, dirs, t_limit)
+    with np.errstate(all="ignore"):
+        want = march_rays_reference(scene, origin, dirs.reshape(-1, 3),
+                                    t_limit)
+    assert_same_bytes(got, want)
+
+
+@pytest.mark.parametrize("z", [1.0, 20.0])
+def test_extreme_columns_trace_without_floating_point_events(z):
+    # The scene of the subnormal test above; each column's horizontal
+    # direction has a zero of either sign, a subnormal or a huge
+    # component, and its rays climb, descend or stay level, some by
+    # subnormal or huge slopes.
+    scene = Scene(cell_size=5.0, legend={1: "road", 2: "building",
+                                         3: "tree"},
+                  height=np.array([[0.0, 0.0, 0.0, 0.0],
+                                   [0.0, 0.0, 10.0, 0.0],
+                                   [0.0, 12.0, 0.0, 0.0]]),
+                  label=np.array([[1, 1, 1, 1], [1, 1, 3, 1], [1, 2, 1, 1]]),
+                  clearance=np.array([[0.0, 0.0, 0.0, 0.0],
+                                      [0.0, 0.0, 4.0, 0.0],
+                                      [0.0, 0.0, 0.0, 0.0]]),
+                  under_label=1)
+    origin = np.array([2.5, 7.5, z])
+    tiny, huge = 1e-310, 1e300
+    horizontal = [(1.0, 0.0), (1.0, -0.0), (-0.0, 1.0), (1.0, tiny),
+                  (tiny, 1.0), (-tiny, -1.0), (huge, 1.0), (1.0, -huge),
+                  (tiny, tiny), (0.0, -0.0)]
+    slopes = [tiny, -tiny, 0.0, -0.0, -0.05, 0.1, -1.0, huge, -huge]
+    dirs = np.array([[(dx, dy, dz) for dx, dy in horizontal]
+                     for dz in slopes])
+    got = march_columns_quietly(scene, origin, dirs, 60.0)
+    with np.errstate(all="ignore"):
+        want = march_rays_reference(scene, origin, dirs.reshape(-1, 3), 60.0)
+    assert_same_bytes(got, want)
+    assert got[1].any()
+
+
+def spy_on_paths():
+    """Patch ``world.march_columns`` and ``world.march_rays`` to record
+    which of them runs, in call order, with its number of rays."""
+    calls = []
+    stack = contextlib.ExitStack()
+    for name in ("march_columns", "march_rays"):
+        def spy(scene, origin, dirs, t_limit, name=name,
+                real=getattr(world, name)):
+            calls.append((name, np.asarray(dirs).size // 3))
+            return real(scene, origin, dirs, t_limit)
+        stack.enter_context(mock.patch.object(world, name, spy))
+    return stack, calls
+
+
+def reference_paths():
+    """Patch both paths of ``render`` to the reference marcher."""
+    stack = contextlib.ExitStack()
+    stack.enter_context(mock.patch.object(world, "march_rays",
+                                          march_rays_reference))
+    stack.enter_context(mock.patch.object(
+        world, "march_columns", lambda scene, origin, dirs, t_limit:
+        march_rays_reference(scene, origin, dirs.reshape(-1, 3), t_limit)))
+    return stack
+
+
+@given(seed=st.integers(0, 2**32 - 1), canopy=st.booleans(),
+       fx=st.floats(-0.3, 1.3), fy=st.floats(-0.3, 1.3), z=ALTITUDE,
+       yaw=st.one_of(st.sampled_from([0.0, math.pi / 2, -math.pi / 2,
+                                      math.pi]),
+                     st.floats(-math.pi, math.pi)),
+       shape=IMAGE_SHAPE)
+@settings(max_examples=150, deadline=None, derandomize=True, database=None)
+def test_level_renders_take_the_column_walk(seed, canopy, fx, fy, z, yaw,
+                                            shape):
+    scene = random_scene(np.random.default_rng(seed))
+    if not canopy:
+        scene = without_canopy(scene)
+    if isinstance(z, tuple):
+        z = float(scene.height.max()) + z[1]
+    pose = UavPose(fx * scene.extent[0], fy * scene.extent[1], z, yaw=yaw)
+    rows, cols = shape
+    k = CameraIntrinsics(fx=2.0, fy=2.0, cx=(cols - 1) / 2,
+                         cy=(rows - 1) / 2, width=cols, height=rows)
+    patch, calls = spy_on_paths()
+    with patch:
+        got = world.render(scene, pose, k)
+    assert calls == [("march_columns", rows * cols)]
+    with reference_paths():
+        want = world.render(scene, pose, k)
+    assert_same_bytes(got, want)
+
+
+def test_every_fixture_suite_frame_takes_the_column_walk(scene, episodes):
+    patch, calls = spy_on_paths()
+    with patch:
+        run_suite(scene, episodes, scripted_factory)
+    frame = DEFAULT_INTRINSICS.width * DEFAULT_INTRINSICS.height
+    assert calls.count(("march_columns", frame)) == 316
+    # the rest are the collision casts of ``apply_action``, one ray each
+    assert set(calls) == {("march_columns", frame), ("march_rays", 1)}
+
+
+def test_downward_frames_take_march_rays(scene):
+    frame = DEFAULT_INTRINSICS.width * DEFAULT_INTRINSICS.height
+    for yaw in np.radians(np.arange(0.0, 360.0, 15.0)):
+        pose = UavPose(302.5, 297.5, 40.0, yaw=float(yaw))
+        patch, calls = spy_on_paths()
+        with patch:
+            world.render(scene, pose, DEFAULT_INTRINSICS, DOWNWARD_MOUNT)
+        assert calls == [("march_rays", frame)]
+
+
+@pytest.mark.parametrize("tilt", [5e-324, -5e-324, 2.0**-52, -2.0**-52])
+@pytest.mark.parametrize("axis", ["pitch", "roll"])
+def test_a_tilt_of_one_ulp_takes_march_rays_once_columns_differ(
+        scene, axis, tilt):
+    # One ulp of 0 vanishes in the rotation, and every column still
+    # shares its direction; one ulp of 1 does not.
+    for yaw in (0.0, 0.5, math.pi / 2, math.pi):
+        pose = UavPose(152.5, 102.5, 30.0, yaw=yaw, **{axis: tilt})
+        r = camera_to_world_rotation(pose, FORWARD_MOUNT)
+        dirs = (world._camera_rays(DEFAULT_INTRINSICS) @ r.T).reshape(
+            DEFAULT_INTRINSICS.height, DEFAULT_INTRINSICS.width, 3)
+        shared = bool((dirs[..., :2] == dirs[:1, :, :2]).all())
+        assert shared == (abs(tilt) < 1e-300)
+        patch, calls = spy_on_paths()
+        with patch:
+            got = world.render(scene, pose, DEFAULT_INTRINSICS)
+        path = "march_columns" if shared else "march_rays"
+        assert calls == [(path, dirs.size // 3)]
+        with reference_paths():
+            want = world.render(scene, pose, DEFAULT_INTRINSICS)
+        assert_same_bytes(got, want)
+
+
+def test_cast_ray_never_takes_the_column_walk(scene):
+    patch, calls = spy_on_paths()
+    origin = np.array([152.5, 102.5, 30.0])
+    with patch:
+        for direction in ([1.0, 0.0, 0.0], [0.0, 0.0, -1.0],
+                          [0.6, -0.8, 0.0], [-0.0, 1.0, 0.0]):
+            world.cast_ray(scene, origin, np.array(direction), 100.0)
+    assert calls == [("march_rays", 1)] * 4
