@@ -21,11 +21,11 @@ then marches the rest through the grid with the Amanatides-Woo
 traversal, vectorized across rays: each step advances every ray still
 in flight by one cell, and a ray leaves the working set as soon as it
 hits, leaves the scene, passes the range limit, or can no longer come
-down to any surface.  Ray directions are
-left unnormalized at ((u-cx)/fx, (v-cy)/fy, 1) in the camera frame so
-the hit parameter t is exactly the planar depth stored in the depth
-image: back-projecting a rendered pixel with its stored depth reproduces
-the surface point that was hit.
+down to any surface.  Ray directions are left unnormalized at
+((u-cx)/fx, (v-cy)/fy, 1) in the camera frame so the hit parameter t is
+exactly the planar depth stored in the depth image: back-projecting a
+rendered pixel with its stored depth reproduces the surface point that
+was hit.
 """
 
 from __future__ import annotations
@@ -802,15 +802,16 @@ def render(scene: Scene, pose: UavPose, k: CameraIntrinsics,
     """Render depth and semantic images for a camera at ``pose``.
 
     The depth image stores planar camera-frame z; pixels with no surface
-    within ``MAX_RANGE`` hold 0 in both images.  One array comparison of
-    the pixel rays picks the tracer: if every image row has the (dx, dy)
-    of row 0, as at pitch = roll = 0 on the forward mount, the frame goes
-    to ``march_columns``, which walks each column once; any other frame
-    goes to ``march_rays``.  Both return the same bytes.
+    within ``MAX_RANGE`` hold 0 in both images.  A comparison of the
+    pixel rays picks the tracer: if every image row has the dx and the
+    dy of row 0, as at pitch = roll = 0 on the forward mount, the frame
+    goes to ``march_columns``, which walks each column once; any other
+    frame goes to ``march_rays``.  Both return the same bytes.
     """
     r = camera_to_world_rotation(pose, mount)
     dirs = (_camera_rays(k) @ r.T).reshape(k.height, k.width, 3)
-    if (dirs[..., :2] == dirs[:1, :, :2]).all():
+    if ((dirs[..., 0] == dirs[0, :, 0]).all()
+            and (dirs[..., 1] == dirs[0, :, 1]).all()):
         t_hit, labels = march_columns(scene, pose.position, dirs, MAX_RANGE)
     else:
         t_hit, labels = march_rays(scene, pose.position,
