@@ -808,7 +808,6 @@ class TestRunSuite:
                                "scene bounds 600 x 600\n")
         assert not (tmp_path / "out").exists()
 
-
     def test_out_dir_that_cannot_be_a_directory_fails_before_any_episode(
             self, wall_scene, tmp_path):
         out = tmp_path / "out"
