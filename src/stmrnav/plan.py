@@ -227,7 +227,9 @@ def serialize_plan(plan: PlanState) -> str:
         for sg in plan.subgoals)
 
 
-_PLAN_LINE_RE = re.compile(r"^\s*(\d+)[.)]\s*\(([^)]+)\)\s*(.*\S)?\s*$")
+# An item number of at most 9 digits, so that int() never meets a digit
+# string too long to convert.
+_PLAN_LINE_RE = re.compile(r"^\s*(\d{1,9})[.)]\s*\(([^)]+)\)\s*(.*\S)?\s*$")
 
 
 def parse_plan_block(text: str):
@@ -235,7 +237,8 @@ def parse_plan_block(text: str):
 
     Returns None when nothing parses (free-form chatter); unknown
     status words also yield None so the caller falls back to the
-    authoritative ledger.
+    authoritative ledger.  A line whose item number has more than 9
+    digits is not a plan line.
     """
     rows = []
     for line in text.splitlines():

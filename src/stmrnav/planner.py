@@ -73,7 +73,7 @@ class Action:
 
 
 def _fmt_number(v: float) -> str:
-    if v == int(v):
+    if math.isfinite(v) and v == int(v):
         return str(int(v))
     return f"{v:g}"
 
@@ -348,7 +348,9 @@ class RemoteBackend:
     dropped connections, broken or undecodable response bodies, 429 and
     5xx responses.  Any other failed request (a malformed header or URL,
     too many redirects, ...) and other 4xx responses raise
-    ``BackendUnavailableError`` at once.  The endpoint must be an
+    ``BackendUnavailableError`` at once.  A reply whose message content
+    is missing or not a string (null for a refusal or a tool call) raises
+    ``PlanningBackendError``.  The endpoint must be an
     ``http://`` or ``https://`` URL.  ``requests`` is imported when the
     first backend is built, so runs with local backends never load it.
     """
@@ -408,7 +410,11 @@ class RemoteBackend:
                     last_error=resp.text[:500])
             try:
                 body = resp.json()
-                return body["choices"][0]["message"]["content"]
+                content = body["choices"][0]["message"]["content"]
+                if not isinstance(content, str):
+                    raise TypeError(f"content is {type(content).__name__}, "
+                                    f"not a string")
+                return content
             except (ValueError, KeyError, IndexError, TypeError) as exc:
                 raise PlanningBackendError(
                     f"malformed completion payload: {exc}",

@@ -15,17 +15,15 @@ covers the y band [k*cell_size, (k+1)*cell_size).  The scene occupies
 A frame whose image columns each share one horizontal direction (a
 level camera) is rendered by walking each column's cells once for all
 its rays, each ray's hit tests starting where a max-height bound lets
-it first reach a surface.  Any other frame first drops the pixel rays
-that a max-height pyramid of the scene proves cannot reach any surface,
-then marches the rest through the grid with the Amanatides-Woo
-traversal, vectorized across rays: each step advances every ray still
-in flight by one cell, and a ray leaves the working set as soon as it
-hits, leaves the scene, passes the range limit, or can no longer come
-down to any surface.  Ray directions are left unnormalized at
-((u-cx)/fx, (v-cy)/fy, 1) in the camera frame so the hit parameter t is
-exactly the planar depth stored in the depth image: back-projecting a
-rendered pixel with its stored depth reproduces the surface point that
-was hit.
+it first reach a surface.  Any other frame marches its pixel rays
+through the grid with the Amanatides-Woo traversal, vectorized across
+rays: each step advances every ray still in flight by one cell, and a
+ray leaves the working set as soon as it hits, leaves the scene, passes
+the range limit, or can no longer come down to any surface.  Ray
+directions are left unnormalized at ((u-cx)/fx, (v-cy)/fy, 1) in the
+camera frame so the hit parameter t is exactly the planar depth stored
+in the depth image: back-projecting a rendered pixel with its stored
+depth reproduces the surface point that was hit.
 """
 
 from __future__ import annotations
@@ -48,9 +46,8 @@ from .planner import Action
 
 _MISS_EPS = 1e-12
 _T_MAX = float(np.finfo(np.float64).max)
-# The ends of the four equal pieces of a ray's span in the miss test.
-_QUARTERS = np.linspace(0.0, 1.0, 5)[:, None]
-# Relative slack of the miss test over the rounding in z and hit times.
+# Relative slack of the column walk's slope bounds over the rounding in z
+# and hit times.
 _CLEAR_SLACK = 1e-6
 # Steps of the hit tests each pass of ``march_columns`` runs per ray.
 _CHUNK = 4
@@ -99,27 +96,6 @@ class Scene:
                 _padded(np.ones(self.height.shape, dtype=bool), False,
                         False),
                 self.height.max())
-
-    @cached_property
-    def _height_pyramid(self):
-        """Max-height pyramid for ``march_rays``' miss test, built on first
-        use.  Level l holds the max of ``max(height, 0)`` over each
-        2^l x 2^l block of cells, down to one block; returns the levels
-        flattened one after another, each level's offset and its width in
-        blocks."""
-        level = np.maximum(self.height, 0.0)
-        levels = [level]
-        while level.size > 1:
-            ny, nx = level.shape
-            even = np.zeros((ny + ny % 2, nx + nx % 2))
-            even[:ny, :nx] = level
-            level = even.reshape(even.shape[0] // 2, 2,
-                                 even.shape[1] // 2, 2).max(axis=(1, 3))
-            levels.append(level)
-        sizes = [lv.size for lv in levels]
-        return (np.concatenate([lv.ravel() for lv in levels]),
-                np.cumsum([0] + sizes[:-1], dtype=np.int32),
-                np.array([lv.shape[1] for lv in levels], dtype=np.int32))
 
 
 @dataclass(frozen=True)
@@ -438,44 +414,6 @@ def _padded(grid: np.ndarray, fill, sink) -> np.ndarray:
     return np.append(out.ravel(), np.array(sink, dtype=grid.dtype))
 
 
-def _proven_misses(scene: Scene, origin: np.ndarray, dirs: np.ndarray,
-                   t_enter: np.ndarray, t_exit: np.ndarray) -> np.ndarray:
-    """Which rays provably hit nothing between ``t_enter`` and ``t_exit``.
-
-    ``dirs`` is (3, m).  Each ray's span is cut into four equal pieces.
-    A piece's xy box, widened by one cell to cover rounding in where the
-    walk places the ray, is looked up in the max-height pyramid at the
-    level where it spans at most 2 x 2 blocks.  Every hit test needs
-    z <= the cell's height somewhere inside the cell (the ground under a
-    canopy is z = 0), so a ray whose lowest z on every piece clears that
-    piece's max by more than the rounding in z and in the hit times
-    cannot hit.  A NaN height keeps the ray.  ``march_rays`` sends only
-    finite spans from a finite origin, so x and y are never NaN, but they
-    can be huge or infinite: they are clipped to one cell beyond the grid
-    before the cast to int32, which would wrap them.
-    """
-    values, offsets, widths = scene._height_pyramid
-    t = t_enter + (t_exit - t_enter) * _QUARTERS
-    t[-1] = t_exit
-    # x, y, z at the piece ends, rounded as the walk rounds them
-    pos = origin[:, None, None] + dirs[:, None, :] * t
-    last = np.array([[[scene.nx - 1]], [[scene.ny - 1]]], dtype=np.int32)
-    # Cells one beyond each edge give the boxes of cells further out.
-    cells = np.floor(pos[:2] / scene.cell_size)
-    np.clip(cells, -1, last + 1, out=cells)
-    cells = cells.astype(np.int32)
-    lo = np.maximum(np.minimum(cells[:, :-1], cells[:, 1:]) - 1, 0)
-    hi = np.minimum(np.maximum(cells[:, :-1], cells[:, 1:]) + 1, last)
-    # the least l with hi >> l <= (lo >> l) + 1 on both axes
-    level = np.frexp(np.maximum((hi - lo).max(axis=0) - 1, 0))[1]
-    blocks = np.stack([lo, hi]) >> level
-    peak = values[offsets[level] + blocks[:, None, 1] * widths[level]
-                  + blocks[None, :, 0]].max(axis=(0, 1))
-    z = pos[2]
-    margin = _CLEAR_SLACK * (1.0 + abs(origin[2]) + np.abs(dirs[2]) * t[1:])
-    return (np.minimum(z[:-1], z[1:]) > peak + margin).all(axis=0)
-
-
 def _walk_start(scene: Scene, ox: float, oy: float, te: np.ndarray,
                 dx: np.ndarray, dy: np.ndarray):
     """Where the cell walk of rays that enter the grid at ``te`` starts:
@@ -548,15 +486,12 @@ def march_rays(scene: Scene, origin: np.ndarray, dirs: np.ndarray,
     in units of each direction vector, clipped at ``t_limit``.  Returns
     (t_hit, hit_label), both (N,).  Misses carry t_hit = 0 and label 0.
 
-    No ray walks that provably misses: one that starts above every cell
-    top and does not descend, or one that clears every cell near its
-    path in a max-height pyramid of the scene (``_proven_misses``, run
-    on every ray but those that come down to the ground before they
-    leave, which hit).  Every other ray that enters the scene walks the
-    grid cell by cell (Amanatides-Woo), vectorized across rays: its
-    state is packed into one float and one index array.  A ray finishes
-    once it hits, steps off the grid, passes ``t_limit``, or is not
-    descending and already above the tallest cell.  A finished ray is
+    A ray that starts above every cell top and does not descend
+    provably misses and never walks.  Every other ray that enters the
+    scene walks the grid cell by cell (Amanatides-Woo), vectorized across
+    rays: its state is packed into one float and one index array.  A ray
+    finishes once it hits, steps off the grid, passes ``t_limit``, or is
+    not descending and already above the tallest cell.  A finished ray is
     parked on the grids' sink cell, where no hit test fires and its cell
     steps are 0; the arrays are compacted to the live rays only when
     fewer than half of their columns are live.  The canopy tests run
@@ -587,19 +522,10 @@ def march_rays(scene: Scene, origin: np.ndarray, dirs: np.ndarray,
     # z never falls along a ray with dz >= 0, so from above every cell
     # top such a ray cannot hit.
     active = (t_enter < t_exit) & ~((dz >= 0) & (oz > top))
-    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        t_g = np.where(dz != 0, -oz / dz, np.inf)
-        # A ray that comes down to the ground before it leaves hits.
-        test = np.nonzero(active & ~((dz < 0) & (t_g < t_exit)))[0]
-        if test.size:
-            miss = _proven_misses(scene, np.array([ox, oy, oz]),
-                                  np.ascontiguousarray(dirs[test].T),
-                                  t_enter[test], t_exit[test])
-            active[test[miss]] = False
-    if not active.any():
+    idx = np.nonzero(active)[0]
+    if not idx.size:
         return t_hit, hit_label
 
-    idx = np.nonzero(active)[0]
     te = t_enter[idx]
     tx = t_exit[idx]
     adz = dz[idx]
@@ -612,10 +538,12 @@ def march_rays(scene: Scene, origin: np.ndarray, dirs: np.ndarray,
     z_cap = np.where(adz >= 0, top, np.inf)
     # NaN unless descending, so the top-of-band test fails for the rest
     adz_down = np.where(adz < 0, adz, np.nan)
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        t_g = np.where(adz != 0, -oz / adz, np.inf)
 
     rays = np.stack([te, oz + adz * te, t_max_x, t_max_y, t_delta_x,
                      t_delta_y, adz, adz_down, tx, tx - _MISS_EPS, z_cap,
-                     t_g[idx]])
+                     t_g])
     # flat cell index, its change per x and per y step, output row
     cells = np.stack([cell, step_x, step_y, idx])
     live = idx.size

@@ -17,6 +17,7 @@ import sys
 from pathlib import Path
 
 import pytest
+import requests
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
@@ -423,6 +424,41 @@ class TestRun:
         assert "not valid UTF-8" in err and str(paths[bad]) in err
         assert err.count("\n") == 1 and "Traceback" not in err
         assert not out.exists()
+
+    @pytest.mark.parametrize("reply, note", [
+        ("Plan:\n" + "9" * 5000 + ". (Completed) head to the road\n"
+         "1. (In Process) head to the road\n"
+         "Action: (straight), (0 degrees), (5 meters)",
+         "model echoed 1 plan items, ledger has 2"),
+        ("Action: (straight), (0 degrees), (" + "9" * 400 + " meters)",
+         "clamped distance inf -> 10"),
+        (None, "malformed completion payload"),
+    ], ids=["plan-item-of-5000-digits", "distance-of-400-digits",
+            "null-content"])
+    def test_a_bad_model_reply_loses_no_episode(self, data_dir, capsys,
+                                                monkeypatch, reply, note):
+        if reply is None:
+            # what a chat-completions server sends for a refusal
+            null = requests.Response()
+            null.status_code = 200
+            null._content = json.dumps(
+                {"choices": [{"message": {"content": None}}]}).encode()
+            monkeypatch.setattr(requests, "post", lambda *a, **k: null)
+            backend = "remote:http://localhost:1/v1"
+        else:
+            (data_dir / "reply.txt").write_text(reply, encoding="utf-8")
+            backend = f"scripted:{data_dir / 'reply.txt'}"
+        out = data_dir / "out"
+        code = run_cli("run", "--scene", str(data_dir / "riverside.scene"),
+                       "--episodes", str(data_dir / "eps" / "ep_a.episode"),
+                       "--backend", backend, "--out", str(out),
+                       "--max-actions", "1")
+        err = capsys.readouterr().err
+        assert code == EXIT_OK
+        assert "Traceback" not in err
+        notes = (out / "ep_a" / "step_0" / "notes.txt").read_text(
+            encoding="utf-8")
+        assert note in notes
 
     @pytest.mark.parametrize("script", [NOT_UTF8, None],
                              ids=["not-utf8", "missing"])

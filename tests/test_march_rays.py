@@ -25,7 +25,6 @@ from stmrnav.evaluation import DEFAULT_INTRINSICS, run_suite
 from stmrnav.geometry import (
     DOWNWARD_MOUNT,
     FORWARD_MOUNT,
-    MAX_RANGE,
     CameraIntrinsics,
     UavPose,
     camera_to_world_rotation,
@@ -129,23 +128,8 @@ def test_subnormal_components_trace_without_overflow_warnings(z):
 
 
 # ---------------------------------------------------------------------------
-# the miss test (``world._proven_misses``), the sink cell and compaction
+# rays near cell tops and grid lines, the sink cell and compaction
 # ---------------------------------------------------------------------------
-
-def spy_on_misses():
-    """Patch ``world._proven_misses`` to record every ray it drops (as a
-    direction) and how many rays it tested."""
-    real = world._proven_misses
-    seen = {"tested": 0, "dropped": []}
-
-    def spy(scene, origin, dirs, t_enter, t_exit):
-        miss = real(scene, origin, dirs, t_enter, t_exit)
-        seen["tested"] += miss.size
-        seen["dropped"].append(dirs[:, miss].T)
-        return miss
-
-    return mock.patch.object(world, "_proven_misses", spy), seen
-
 
 def canopy_scene(rng):
     """A random scene whose every cell of 6 m or more is an elevated slab."""
@@ -186,7 +170,7 @@ def miss_cases(draw):
     else:
         z = draw(st.floats(0.0, 15.0))
         if where == "block-edge":
-            # on a line between blocks of 2^l cells of the pyramid
+            # on a grid line at a multiple of 2, 4 or 8 cells
             edge = 2 ** draw(st.integers(1, 3))
             x = (i // edge) * edge * cs
             y = (j + draw(st.floats(0.0, 1.0))) * cs
@@ -203,46 +187,19 @@ def miss_cases(draw):
 @settings(max_examples=300, deadline=None)
 def test_every_ray_the_miss_test_drops_is_a_miss(case):
     scene, origin, dirs, t_limit = case
-    patch, seen = spy_on_misses()
-    with patch:
-        got = world.march_rays(scene, origin, dirs, t_limit)
+    got = world.march_rays(scene, origin, dirs, t_limit)
     with np.errstate(all="ignore"):
         assert_same_bytes(got, march_rays_reference(scene, origin, dirs,
                                                     t_limit))
-        dropped = np.concatenate(seen["dropped"] or [np.zeros((0, 3))])
-        t, label = march_rays_reference(scene, origin, dropped, t_limit)
-    assert not label.any()
-    assert t.tobytes() == np.zeros_like(t).tobytes()
-
-
-def test_the_miss_test_drops_most_rays_of_a_forward_frame(scene):
-    # Level flight at 30 m over the riverside: the rays that climb from
-    # above every top are dropped before the test; most of the rest pass
-    # over the scene within the 100 m range and must not be marched.
-    # ``render`` sends such a frame to the column walk, so its rays go to
-    # ``march_rays`` directly.
-    pose = UavPose(152.5, 102.5, 30.0, yaw=0.5)
-    dirs = (world._camera_rays(DEFAULT_INTRINSICS)
-            @ camera_to_world_rotation(pose, FORWARD_MOUNT).T)
-    patch, seen = spy_on_misses()
-    with patch:
-        got = world.march_rays(scene, pose.position, dirs, MAX_RANGE)
-    want = march_rays_reference(scene, pose.position, dirs, MAX_RANGE)
-    assert_same_bytes(got, want)
-    dropped = sum(d.shape[0] for d in seen["dropped"])
-    assert seen["tested"] > 0
-    assert dropped > seen["tested"] / 2
 
 
 def test_rays_through_a_grid_corner_at_a_piece_end_are_not_dropped():
     # Each ray passes (within rounding) through the corner shared by four
-    # cells at t = 1, where the miss test ends the second of the four
-    # pieces of its span [0, 2].  Of the two cells it can touch only at
-    # that corner one is a 10 m block, and the rest of the scene is flat.
-    # The walk may step into the block there for no time at all and hit
-    # it, while the rounded piece ends can put the ray on either side of
-    # both grid lines.  The one-cell widening of each piece's box is what
-    # keeps such rays.
+    # cells at t = 1, the middle of its span [0, 2].  Of the two cells it
+    # can touch only at that corner one is a 10 m block, and the rest of
+    # the scene is flat.  The walk may step into the block there for no
+    # time at all and hit it, and it must take the same steps as the
+    # reference does.
     rng = np.random.default_rng(7)
     for cs in (0.3, 0.7, 1.1):
         for a, b in ((3, 1), (3, 5), (5, 2)):
@@ -268,8 +225,8 @@ def test_rays_through_a_grid_corner_at_a_piece_end_are_not_dropped():
 def test_rays_whose_range_ends_on_the_ground_are_not_dropped():
     # The range limit is exactly the time each ray comes down to the
     # flat ground, so the walk's last hit test fires at t = t_limit, but
-    # z rounded at that t can sit an ulp above the ground.  The margin of
-    # the miss test is what keeps such rays.
+    # z rounded at that t can sit an ulp above the ground.  The walk must
+    # still run that last test, as the reference does.
     scene = Scene(cell_size=5.0, legend={1: "road"},
                   height=np.zeros((6, 6)),
                   label=np.ones((6, 6), dtype=np.int64),
@@ -328,8 +285,8 @@ def test_an_unbounded_range_matches_the_reference():
     assert got[1].tolist() == [0, 1, 0]
 
 
-# NaN and huge values in the origin or the directions: a huge position
-# must saturate, not wrap, when the miss test casts it to a cell.
+# NaN and huge values in the origin or the directions, which must trace
+# as the reference traces them.
 EXTREME = st.sampled_from([math.nan, 1e300, -1e300])
 
 
@@ -356,35 +313,10 @@ def extreme_cases(draw):
 @settings(max_examples=300, deadline=None)
 def test_nan_and_huge_inputs_match_the_reference(case):
     scene, origin, dirs, t_limit = case
-    patch, seen = spy_on_misses()
     with np.errstate(all="ignore"):
-        with patch:
-            got = world.march_rays(scene, origin, dirs, t_limit)
+        got = world.march_rays(scene, origin, dirs, t_limit)
         assert_same_bytes(got, march_rays_reference(scene, origin, dirs,
                                                     t_limit))
-        dropped = np.concatenate(seen["dropped"] or [np.zeros((0, 3))])
-        t, label = march_rays_reference(scene, origin, dropped, t_limit)
-    assert not label.any()
-    assert t.tobytes() == np.zeros_like(t).tobytes()
-
-
-def test_the_miss_test_keeps_rays_whose_pieces_end_far_off_the_grid():
-    # From the middle of a flat 8 x 8 strip, 5 m up, toward a 10 m column
-    # two cells back: the piece ends lie ~1e299 m away, so the first piece
-    # crosses the column below its top and the ray must stay.  A cell
-    # index cast from such a position without clipping wraps, and the
-    # piece's box then skips the column.  A NaN height keeps the ray too.
-    height = np.zeros((8, 8))
-    height[:, 2] = 10.0
-    scene = Scene(cell_size=1.0, legend={1: "road", 2: "building"},
-                  height=height, label=np.where(height > 0, 2, 1),
-                  clearance=np.zeros((8, 8)))
-    origin = np.array([4.5, 4.5, 5.0])
-    dirs = np.array([[-1e300, -1.0], [0.0, 0.0], [0.0, math.nan]])
-    with np.errstate(all="ignore"):
-        miss = world._proven_misses(scene, origin, dirs, np.zeros(2),
-                                    np.ones(2))
-    assert not miss.any()
 
 
 # ---------------------------------------------------------------------------

@@ -217,6 +217,16 @@ class TestPlanText:
     def test_unknown_status_words_poison_the_block(self):
         assert parse_plan_block("1. (Pending) head out") is None
 
+    def test_an_item_number_too_long_to_convert_is_not_a_plan_line(self):
+        # int() refuses a digit string of more than 4300 digits
+        block = "9" * 5000 + ". (Completed) head out\n1. (TODO) head out"
+        assert parse_plan_block(block) == [(TODO, "head out")]
+        assert reconcile_plan(plan_of(2), block) == [
+            "model echoed 1 plan items, ledger has 2",
+            "model marked sub-goal 1 TODO, ledger says In Process"]
+        assert parse_plan_block("123456789. (TODO) a\n"
+                                "1234567890. (TODO) b") == [(TODO, "a")]
+
     def test_reconcile_flags_status_disagreements(self):
         plan = plan_of(2)
         notes = reconcile_plan(

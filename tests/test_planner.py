@@ -9,12 +9,14 @@ import json
 import threading
 from types import SimpleNamespace
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
+from unittest import mock
 
 import pytest
 import requests
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from conftest import fixture_path
 from stmrnav.errors import (
     ActionParseError,
     BackendUnavailableError,
@@ -22,6 +24,7 @@ from stmrnav.errors import (
     TemplateError,
     UnparseableResponseError,
 )
+from stmrnav.plan import decompose_instruction, reconcile_plan
 from stmrnav.planner import (
     ALIASES,
     DEGREE_MAX,
@@ -41,6 +44,7 @@ from stmrnav.planner import (
     query,
     serialize_action,
 )
+from stmrnav.world import load_episode, load_scene
 
 
 class TestAction:
@@ -101,6 +105,14 @@ class TestParseAction:
         action = parse_action("left -5 degrees 3 meters")
         assert action.degree == 0.0
         assert action.note == "clamped degree -5 -> 0"
+
+    def test_a_number_too_long_for_a_float_clamps_to_the_bound(self):
+        # float() reads a run of 400 digits as inf
+        huge = "9" * 400
+        action = parse_action(f"(right), ({huge} degrees), (-{huge} meters)")
+        assert (action.degree, action.distance) == (DEGREE_MAX, 0.0)
+        assert action.note == ("clamped degree inf -> 15; "
+                               "clamped distance -inf -> 0")
 
     def test_no_verb_is_a_parse_error(self):
         with pytest.raises(ActionParseError):
@@ -362,6 +374,14 @@ def completion_body(text) -> str:
     return json.dumps({"choices": [{"message": {"content": text}}]})
 
 
+def ok_response(body) -> requests.Response:
+    """What ``requests.post`` returns for a 200 reply carrying ``body``."""
+    ok = requests.Response()
+    ok.status_code = 200
+    ok._content = body.encode("utf-8")
+    return ok
+
+
 class TestRemoteBackend:
     def test_success_returns_the_completion_content(self, monkeypatch):
         monkeypatch.setenv("STMRNAV_API_TOKEN", "sekrit")
@@ -414,6 +434,23 @@ class TestRemoteBackend:
             with pytest.raises(PlanningBackendError, match="malformed"):
                 backend.complete("p")
 
+    @pytest.mark.parametrize("content", [None, 7, ["Action: stop"],
+                                         {"text": "Action: stop"}],
+                             ids=["null", "number", "list", "object"])
+    def test_non_string_content_is_a_backend_error(self, monkeypatch,
+                                                   content):
+        # A chat-completions server sends null content for a refusal or
+        # a tool call.
+        body = completion_body(content)
+        monkeypatch.setattr(requests, "post",
+                            lambda *args, **kwargs: ok_response(body))
+        backend = RemoteBackend(endpoint="http://localhost:1/v1",
+                                sleep=lambda s: None)
+        with pytest.raises(PlanningBackendError,
+                           match="malformed completion payload") as err:
+            backend.complete("p")
+        assert err.value.raw == body
+
     def test_connection_refused_retries_then_raises(self):
         probe = _ScriptedHttpServer([])
         dead_endpoint = probe.endpoint
@@ -432,10 +469,7 @@ class TestRemoteBackend:
         def post(*args, **kwargs):
             if failures:
                 raise failures.pop(0)
-            ok = requests.Response()
-            ok.status_code = 200
-            ok._content = completion_body("back").encode("utf-8")
-            return ok
+            return ok_response(completion_body("back"))
 
         monkeypatch.setattr(requests, "post", post)
         backend = RemoteBackend(endpoint="http://localhost:1/v1",
@@ -497,3 +531,68 @@ class TestRemoteBackend:
 
         assert query(Capture(), bundle) == "Action: stop"
         assert seen == [bundle.text]
+
+
+# ---------------------------------------------------------------------------
+# the reply boundary: from a completion payload to an action and plan notes
+# ---------------------------------------------------------------------------
+
+# The plan the loop keeps for the first fixture episode.
+FIXTURE_PLAN = decompose_instruction(
+    load_episode(fixture_path("ep001.episode")).instruction,
+    extra_vocab=load_scene(fixture_path("riverside.scene")).legend.values())
+
+# What a model reply is made of: section labels, verbs, units, plan
+# statuses, markdown decoration, digit runs up to 5000 long and
+# arbitrary unicode.
+REPLY_PIECE = st.one_of(
+    st.sampled_from(["Thought:", "Observation:", "Plan:", "Action:",
+                     "**Action**:", "Action :", "> ", "# ", "- ", "*", "`",
+                     "\n", " ", "(", ")", ",", ".", "-", "°", "degrees",
+                     "deg", "meters", "metres", "m", "(TODO)",
+                     "(In Process)", "(Completed)", "(done)", "(Pending)",
+                     *VERBS, *ALIASES]),
+    st.builds(lambda digit, n: digit * n, st.sampled_from("0123456789"),
+              st.integers(1, 5000)),
+    st.text(max_size=12))
+REPLY = st.lists(REPLY_PIECE, max_size=24).map("".join)
+# The message content of a completion: reply text, or what a server puts
+# there for a refusal or a tool call.
+CONTENT = st.one_of(REPLY, st.none(), st.integers(),
+                    st.lists(st.text(max_size=4), max_size=2))
+
+
+@given(content=CONTENT)
+@example(content="Plan:\n" + "9" * 5000 + ". (Completed) lift off\n"
+                 "Action: (lift), (0 degrees), (5 meters)")
+@example(content="Action: (straight), (0 degrees), (" + "9" * 400
+                 + " meters)")
+@example(content=None)
+@settings(max_examples=500, deadline=None, derandomize=True, database=None)
+def test_every_reply_parses_or_fails_as_the_loop_expects(content):
+    body = completion_body(content)
+    backend = RemoteBackend(endpoint="http://localhost:1/v1",
+                            sleep=lambda s: None)
+    with mock.patch.object(requests, "post",
+                           lambda *args, **kwargs: ok_response(body)):
+        try:
+            raw = backend.complete("p")
+        except PlanningBackendError:
+            assert not isinstance(content, str)
+            return
+    assert raw == content
+    try:
+        parsed = parse_response(raw)
+    except (UnparseableResponseError, ActionParseError):
+        pass
+    else:
+        assert parsed.action.verb in VERBS
+        assert 0.0 <= parsed.action.degree <= DEGREE_MAX
+        assert 0.0 <= parsed.action.distance <= DISTANCE_MAX
+        assert_notes(reconcile_plan(FIXTURE_PLAN, parsed.plan_block))
+    assert_notes(reconcile_plan(FIXTURE_PLAN, raw))
+
+
+def assert_notes(notes):
+    assert isinstance(notes, list)
+    assert all(isinstance(note, str) for note in notes)
