@@ -521,8 +521,7 @@ def march_rays(scene: Scene, origin: np.ndarray, dirs: np.ndarray,
     height, label, canopy_lo, inside, top = scene._march_grids
     # z never falls along a ray with dz >= 0, so from above every cell
     # top such a ray cannot hit.
-    active = (t_enter < t_exit) & ~((dz >= 0) & (oz > top))
-    idx = np.nonzero(active)[0]
+    idx = np.flatnonzero((t_enter < t_exit) & ~((dz >= 0) & (oz > top)))
     if not idx.size:
         return t_hit, hit_label
 
