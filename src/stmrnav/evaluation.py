@@ -26,9 +26,11 @@ import io
 import itertools
 import math
 import os
+import pickle
+import shutil
 import threading
 from dataclasses import dataclass, fields
-from typing import get_args, get_type_hints
+from typing import NamedTuple, get_args, get_type_hints
 
 import numpy as np
 
@@ -347,13 +349,16 @@ def _metric_text(tdmap: TopDownMap, pose: UavPose, legend,
 
 def run_episode(scene: Scene, episode: Episode, backend,
                 perceptor=None, config: LoopConfig | None = None, *,
-                turn=None) -> EpisodeResult:
+                turn=None, on_step=None) -> EpisodeResult:
     """Fly one episode to completion and return its result with traces.
 
     ``turn`` is a lock the caller holds, shared by episodes that run in
     threads: it is released only while the backend answers, so at most
     one of them computes at a time while the others wait on their
     backends.  With the default None nothing is released.
+
+    ``on_step``, if given, is called with each ``StepTrace`` as soon as
+    it is recorded, the trace of a step that ended in an error included.
     """
     config = config if config is not None else LoopConfig()
     config.validate()
@@ -466,6 +471,8 @@ def run_episode(scene: Scene, episode: Episode, backend,
                 action=action, matrix_text=matrix_text,
                 map_text=map_snapshot(tdmap, scene.legend),
                 notes=tuple(notes)))
+            if on_step is not None:
+                on_step(traces[-1])
             history.append((action, outcome.collision))
 
             prev = pose
@@ -485,6 +492,8 @@ def run_episode(scene: Scene, episode: Episode, backend,
                 index=step, pose=pose, prompt="", response="",
                 action=None, matrix_text="", map_text="",
                 notes=tuple(notes)))
+            if on_step is not None:
+                on_step(traces[-1])
             stopped_by = "error"
             break
 
@@ -513,7 +522,8 @@ _STEP_FILES = ("prompt", "response", "matrix", "map", "pose", "notes")
 def write_episode_trace(result: EpisodeResult, out_root) -> None:
     """Write ``<out_root>/<episode_id>/step_<index>/`` for every step:
     prompt, response, matrix, map, pose (x y z pitch roll yaw) and any
-    notes, each as ``<name>.txt``.  ``read_step_trace`` reads one back."""
+    notes, each as ``<name>.txt``.  ``result`` needs only ``episode_id``
+    and ``step_traces``.  ``read_step_trace`` reads one step back."""
     base = os.path.join(out_root, result.episode_id)
     os.makedirs(base, exist_ok=True)
     for trace in result.step_traces:
@@ -554,6 +564,163 @@ def read_step_trace(episode_dir, step: int) -> StepTrace | None:
         map_text=text["map"], notes=tuple(text.get("notes", "").splitlines()))
 
 
+class _Steps(NamedTuple):
+    """The part of an ``EpisodeResult`` that ``write_episode_trace`` reads."""
+
+    episode_id: str
+    step_traces: tuple[StepTrace, ...]
+
+
+class _TraceWriter:
+    """A forked child process that writes each step's trace as it comes,
+    so the loop's own process spends no time creating files.
+
+    The parent sends ``(index, item)`` pickles down one pipe, ``index``
+    being the episode's place in the suite: each ``StepTrace`` to write,
+    then True once the episode has finished, or False if it raised,
+    which has the child remove the steps it wrote for it.  The child
+    answers each end with ``(index, None)`` on a second pipe, or with
+    ``(index, exc)`` for the exception that stopped it, and then exits.
+    It needs ``os.fork``, so it runs on POSIX systems only.
+    """
+
+    def __init__(self, out_dir, episode_ids):
+        self._ids = episode_ids
+        steps_r, steps_w = os.pipe()
+        status_r, status_w = os.pipe()
+        with contextlib.suppress(AttributeError, OSError):
+            # Linux only: room for about a hundred steps, so the loop
+            # does not stop while the writer falls behind for a moment
+            import fcntl
+            fcntl.fcntl(steps_w, fcntl.F_SETPIPE_SZ, 1 << 20)
+        self._pid = os.fork()
+        if self._pid == 0:              # the child never returns
+            code = 1
+            try:
+                os.close(steps_w)
+                os.close(status_r)
+                _write_steps(steps_r, status_w, out_dir, episode_ids)
+                code = 0
+            finally:
+                os._exit(code)
+        os.close(steps_r)
+        os.close(status_w)
+        self._steps = os.fdopen(steps_w, "wb")
+        self._status = os.fdopen(status_r, "rb")
+        self._send_lock = threading.Lock()
+        self._status_lock = threading.Lock()
+        self._sending = True            # False once the child has gone
+        self._written: set[int] = set()     # episodes the child answered
+        self._failure = None    # (index, the exception, or None if it died)
+
+    def send(self, index: int, item) -> None:
+        """Pass one step, or an episode's end, to the child.  Once the
+        child has gone this does nothing; ``close`` says why it went."""
+        message = pickle.dumps((index, item), pickle.HIGHEST_PROTOCOL)
+        with self._send_lock:
+            if self._sending:
+                try:
+                    self._steps.write(message)
+                    self._steps.flush()
+                except BrokenPipeError:
+                    self._sending = False
+
+    def wait_for(self, index: int) -> bool:
+        """Wait until episode ``index`` is written (nothing to wait for
+        below 0), and say whether the child is still writing."""
+        with self._status_lock:
+            while (self._failure is None and index >= 0
+                   and index not in self._written):
+                if not self._read_status():     # it died
+                    self._failure = (self._first_unwritten(), None)
+            return self._failure is None
+
+    def close(self):
+        """Let the child write everything sent, and reap it.  Returns the
+        error that stopped it, with a note naming the episode, or None."""
+        code = None
+        try:
+            with contextlib.suppress(BrokenPipeError):
+                self._steps.close()     # the child ends at this end of file
+            with self._status_lock:
+                while self._failure is None and self._read_status():
+                    pass
+            code = os.waitstatus_to_exitcode(os.waitpid(self._pid, 0)[1])
+        finally:
+            self._status.close()
+            if code is None:            # interrupted: wait for no writes
+                import signal
+                os.kill(self._pid, signal.SIGKILL)
+                os.waitpid(self._pid, 0)
+        if self._failure is None and code != 0:
+            self._failure = (self._first_unwritten(), None)
+        if self._failure is None:
+            return None
+        index, exc = self._failure
+        if exc is None:
+            exc = ChildProcessError(
+                f"the trace writer exited with status {code}")
+        if hasattr(exc, "add_note"):    # Python 3.11+
+            exc.add_note(f"raised writing the trace of episode "
+                         f"{self._ids[index]}")
+        return exc
+
+    def _read_status(self) -> bool:
+        """Take the child's next answer; False once it has no more."""
+        try:
+            index, exc = pickle.load(self._status)
+        except EOFError:
+            return False
+        if exc is None:
+            self._written.add(index)
+        else:
+            self._failure = (index, exc)
+        return True
+
+    def _first_unwritten(self) -> int:
+        first = next(i for i in itertools.count() if i not in self._written)
+        return min(first, len(self._ids) - 1)
+
+
+def _write_steps(steps_fd, status_fd, out_dir, episode_ids) -> None:
+    """The body of ``_TraceWriter``'s child."""
+    import signal
+    os.nice(19)                 # the loop's computing comes first
+    signal.signal(signal.SIGINT, signal.SIG_IGN)    # the parent stops it
+    wrote = {}      # index -> (made the episode directory, steps written)
+    with os.fdopen(steps_fd, "rb") as steps, \
+            os.fdopen(status_fd, "wb") as status:
+        while True:
+            try:
+                index, item = pickle.load(steps)
+            except EOFError:
+                return
+            episode_dir = os.path.join(out_dir, episode_ids[index])
+            try:
+                if isinstance(item, StepTrace):
+                    if index not in wrote:
+                        wrote[index] = (not os.path.exists(episode_dir), [])
+                    write_episode_trace(
+                        _Steps(episode_ids[index], (item,)), out_dir)
+                    wrote[index][1].append(item.index)
+                    continue
+                made, done = wrote.pop(index, (False, []))
+                if not item:            # the episode raised: keep none of it
+                    for step in done:
+                        shutil.rmtree(os.path.join(episode_dir,
+                                                   f"step_{step}"))
+                    if made:
+                        os.rmdir(episode_dir)
+                answer = None
+            except Exception as exc:    # the parent raises it
+                answer = exc
+            status.write(pickle.dumps((index, answer),
+                                      pickle.HIGHEST_PROTOCOL))
+            status.flush()
+            if answer is not None:
+                return
+
+
 def run_suite(scene: Scene, episodes, backend_factory,
               config: LoopConfig | None = None, perceptor_factory=None,
               parallel: int = 1, out_dir=None):
@@ -573,17 +740,27 @@ def run_suite(scene: Scene, episodes, backend_factory,
 
     With ``parallel`` above 1, up to that many episodes are in flight in
     threads, but they share one turn (see ``run_episode``): one computes
-    at a time, while the others wait on their backends.  Each finished
-    episode's trace is written to ``out_dir`` in input order as soon as
-    it and every episode before it are done, while later ones still run.
+    at a time, while the others wait on their backends.
+
+    With an ``out_dir``, a writer process is forked (POSIX ``fork``)
+    before any episode starts, at the lowest priority, and each step's
+    trace goes to it as soon as the step is done, so files are created
+    while later steps compute.  ``results.csv`` and ``summary.txt``
+    follow once the writer has finished and been reaped, which it is
+    however ``run_suite`` ends, an interrupt included.  A failed write
+    stops the suite: the writer exits, ``run_suite`` raises its
+    ``OSError`` with a note naming the episode, and no new episode
+    starts, as an episode waits to start until the writer has finished
+    the one ``parallel + 1`` places before it.  A writer that dies
+    raises ``ChildProcessError`` the same way.
 
     An exception other than ``StmrNavError`` (which ``run_episode``
     already turns into ``stopped_by=error``) is a fault in the program:
-    the other episodes still run, the finished ones are written to
-    ``out_dir`` in input order (``summary.txt`` only if one finished),
-    and then the first such exception in input order is re-raised, with
-    a note naming its episode.  A failed write stops the suite: episodes
-    not yet started are not run.
+    the other episodes still run, the steps already written of the one
+    that raised are removed again (and its directory, if the writer made
+    it), the finished ones are kept (``summary.txt`` only if one
+    finished), and then the first such exception in input order is
+    re-raised, with a note naming its episode.
     """
     config = config if config is not None else LoopConfig()
     config.validate()
@@ -605,40 +782,57 @@ def run_suite(scene: Scene, episodes, backend_factory,
 
     threaded = parallel > 1 and len(episodes) > 1
     turn = threading.Lock() if threaded else None
+    # forked before the pool starts any thread
+    writer = _TraceWriter(out_dir, ids) if out_dir is not None else None
 
     def _one(pair):
         index, episode = pair
+        if writer is not None and not writer.wait_for(index - parallel - 1):
+            return None, None           # the writer failed: start nothing
+        on_step = (None if writer is None
+                   else lambda trace: writer.send(index, trace))
         with turn if threaded else contextlib.nullcontext():
+            finished = False
             try:
                 backend = backend_factory(episode, index)
                 perceptor = (perceptor_factory(episode, index)
                              if perceptor_factory else None)
-                return run_episode(scene, episode, backend,
-                                   perceptor=perceptor, config=config,
-                                   turn=turn), None
+                outcome = run_episode(scene, episode, backend,
+                                      perceptor=perceptor, config=config,
+                                      turn=turn, on_step=on_step), None
+                finished = True
             except Exception as exc:        # kept and re-raised below
-                return None, exc
+                outcome = None, exc
+            finally:
+                if writer is not None:
+                    writer.send(index, finished)
+            return outcome
 
     results = []
     failures = []
-    with contextlib.ExitStack() as stack:
-        if threaded:
-            # imported here, so serial runs skip its start-up cost
-            from concurrent.futures import ThreadPoolExecutor
-            pool = stack.enter_context(ThreadPoolExecutor(parallel))
-            outcomes = pool.map(_one, enumerate(episodes))
-        else:
-            outcomes = (_one(pair) for pair in enumerate(episodes))
-        # closed before the pool joins, so a failed write (or an
-        # interrupt) cancels the episodes that have not started
-        stack.enter_context(contextlib.closing(outcomes))
-        for episode, (result, exc) in zip(episodes, outcomes):
-            if exc is not None:
-                failures.append((episode, exc))
-                continue
-            results.append(result)
-            if out_dir is not None:
-                write_episode_trace(result, out_dir)
+    write_error = None
+    try:
+        with contextlib.ExitStack() as stack:
+            if threaded:
+                # imported here, so serial runs skip its start-up cost
+                from concurrent.futures import ThreadPoolExecutor
+                pool = stack.enter_context(ThreadPoolExecutor(parallel))
+                outcomes = pool.map(_one, enumerate(episodes))
+            else:
+                outcomes = (_one(pair) for pair in enumerate(episodes))
+            # closed before the pool joins, so an interrupt cancels the
+            # episodes that have not started
+            stack.enter_context(contextlib.closing(outcomes))
+            for episode, (result, exc) in zip(episodes, outcomes):
+                if exc is not None:
+                    failures.append((episode, exc))
+                else:
+                    results.append(result)
+    finally:
+        if writer is not None:
+            write_error = writer.close()
+    if write_error is not None:
+        raise write_error
 
     if out_dir is not None:
         with open(os.path.join(out_dir, "results.csv"), "w",

@@ -14,6 +14,13 @@ up -> lift, forward -> straight, backward -> back), degree in [0, 15]
 degrees and distance in [0, 10] meters.  Out-of-range numbers are
 clamped, and the clamp is recorded in the Action's note so model
 mistakes stay visible without stalling an episode.
+
+Each number is read whole, as ``float()`` reads a decimal literal: an
+optional minus, then digits with an optional point and fraction (``5``,
+``2.5``, ``5.``) or a leading point (``.5``), then an optional exponent
+(``1e3``, ``2.5E-1``).  A number run straight on into a second point and
+digit (``1.2.3``) is refused with ``ActionParseError``, which leads to a
+re-query, rather than read as two numbers.
 """
 
 from __future__ import annotations
@@ -84,8 +91,10 @@ def serialize_action(action: Action) -> str:
 
 
 _WORD_RE = re.compile(r"[a-z]+")
+# a number, anything that would run it on (see the module docstring),
+# and its unit
 _NUMBER_RE = re.compile(
-    r"(-?\d+(?:\.\d+)?)\s*"
+    r"(-?(?:\d+(?:\.\d*)?|\.\d+)(?:e[-+]?\d+)?)(\.\d)?\s*"
     r"(degrees?|degs?|°|meters?|metres?|m\b)?",
     re.IGNORECASE)
 
@@ -110,7 +119,10 @@ def parse_action(text: str) -> Action:
 
     degree = None
     distance = None
-    for num, unit in _NUMBER_RE.findall(lower):
+    for num, run_on, unit in _NUMBER_RE.findall(lower):
+        if run_on:
+            raise ActionParseError(f"number {num!r} runs on into "
+                                   f"{run_on!r} in {text!r}")
         value = float(num)
         if unit and (unit.startswith("d") or unit == "°"):
             if degree is None:

@@ -2,6 +2,7 @@
 
 import glob
 import os
+import signal
 
 import pytest
 
@@ -32,6 +33,45 @@ def scripted_factory(episode, index):
     """One fresh scripted backend per episode, keyed by episode id."""
     return ScriptedBackend.from_file(
         fixture_path("scripts", f"{episode.episode_id}.txt"))
+
+
+# ---------------------------------------------------------------------------
+# child processes
+# ---------------------------------------------------------------------------
+
+def child_pids() -> set[int] | None:
+    """The pids of this process's children not yet reaped, or None where
+    the kernel does not list them (``/proc/<pid>/task/<tid>/children``)."""
+    tasks = glob.glob(f"/proc/{os.getpid()}/task/*/children")
+    if not tasks:
+        return None
+    pids = set()
+    for path in tasks:
+        try:
+            with open(path, encoding="ascii") as f:
+                pids.update(int(pid) for pid in f.read().split())
+        except FileNotFoundError:       # the thread has just exited
+            pass
+    return pids
+
+
+@pytest.fixture(autouse=True)
+def no_child_left_running():
+    """Fail a test that leaves a child process behind, live or unreaped,
+    and kill and reap that child so later tests start clean."""
+    before = child_pids()
+    yield
+    if before is None:
+        return
+    left = sorted(child_pids() - before)
+    for pid in left:
+        try:
+            os.kill(pid, signal.SIGKILL)
+            os.waitpid(pid, 0)
+        except (ProcessLookupError, ChildProcessError):    # reaped meanwhile
+            pass
+    if left:
+        pytest.fail(f"the test left child processes {left}")
 
 
 # ---------------------------------------------------------------------------

@@ -504,6 +504,23 @@ class TestRun:
         assert err.count("\n") == 1 and "Traceback" not in err
         assert built == []
 
+    @pytest.mark.parametrize("parallel", ["1", "2"])
+    def test_a_failed_trace_write_stops_the_run(self, tmp_path, capsys,
+                                                parallel):
+        out = tmp_path / "out"
+        (out / "ep001").mkdir(parents=True)
+        (out / "ep001" / "step_1").write_text("a file, not a step\n",
+                                              encoding="utf-8")
+        code = run_cli("run", "--scene", str(FIXTURES / "riverside.scene"),
+                       "--episodes", str(FIXTURES / "*.episode"),
+                       "--backend", f"scripted:{FIXTURES / 'scripts'}",
+                       "--parallel", parallel, "--out", str(out))
+        err = capsys.readouterr().err
+        assert code == EXIT_DATA
+        assert err.startswith("run failed: ") and "step_1" in err
+        assert err.count("\n") == 1 and "Traceback" not in err
+        assert not (out / "results.csv").exists()
+
 
 class TestValidate:
     def test_clean_files_report_zero_violations(self, data_dir, capsys):
@@ -1036,3 +1053,27 @@ class TestFuzzedFiles:
                         encoding="utf-8")
         assert_documented_exit(run_cli_capped(
             "dump-map", "--trace", trace, "--step", "0", "--format", fmt))
+
+    @given(name=st.sampled_from(["pose.txt", "matrix.txt"]),
+           mutations=MUTATIONS, fmt=st.sampled_from(["ascii", "pgm"]))
+    @example(name="pose.txt", mutations=[("number", 0, 0, "nan")],
+             fmt="ascii")
+    @example(name="pose.txt", mutations=[("number", 0, 1, "1e308")],
+             fmt="ascii")
+    @example(name="pose.txt", mutations=[("cut", 0, 7, "")], fmt="pgm")
+    @example(name="matrix.txt", mutations=[("cut", 0, 0, "")], fmt="ascii")
+    @settings(max_examples=50, deadline=None, derandomize=True,
+              database=None)
+    def test_dump_map_of_a_mutated_pose_or_matrix(
+            self, tmp_path_factory, fixture_step, name, mutations, fmt):
+        trace = tmp_path_factory.mktemp("fuzz")
+        shutil.copytree(fixture_step, trace / "step_0")
+        path = trace / "step_0" / name
+        path.write_text(mutate(path.read_text(encoding="utf-8"), mutations),
+                        encoding="utf-8")
+        proc = run_cli_capped(
+            "dump-map", "--trace", trace, "--step", "0", "--format", fmt)
+        assert proc.returncode in (EXIT_OK, EXIT_DATA), proc.stderr
+        assert "Traceback" not in proc.stderr
+        if proc.returncode == EXIT_DATA:
+            assert proc.stderr.startswith("cannot read trace: ")

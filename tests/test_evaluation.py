@@ -8,6 +8,7 @@ scene whose only obstacle is a wall of buildings, so every collision
 and stop is predictable by hand.
 """
 
+import contextlib
 import dataclasses
 import hashlib
 import json
@@ -55,7 +56,7 @@ from stmrnav.planner import (
     ScriptedBackend,
 )
 from stmrnav.world import parse_episode, parse_scene
-from conftest import scripted_factory
+from conftest import child_pids, scripted_factory
 from reference_mapping import metric_text_reference
 from test_cli import FIXTURES, run_capped
 
@@ -941,6 +942,142 @@ class TestRunSuite:
         # episode starts
         assert sorted(started) == list(range(len(started)))
         assert len(started) <= parallel + 1
+
+
+class TestTraceWriter:
+    """``run_suite`` hands each step to a forked writer process.  A write
+    that fails, or a writer that dies, stops the suite with an error that
+    names the episode; an episode that raises leaves nothing on disk; and
+    the writer is reaped however the suite ends."""
+
+    @staticmethod
+    def _episodes(n):
+        return [parse_episode(EP_NORTH.replace("id ep_north", f"id ep_{i}"))
+                for i in range(n)]
+
+    @staticmethod
+    def _four_steps(episode=None, index=None):
+        return ScriptedBackend([STRAIGHT_ONE] * 3 + [STOP_RESPONSE])
+
+    @pytest.mark.parametrize("parallel", [1, 2])
+    def test_a_real_write_failure_stops_the_suite(self, wall_scene, tmp_path,
+                                                  parallel):
+        (tmp_path / "ep_0").mkdir()
+        (tmp_path / "ep_0" / "step_1").write_text("a file, not a step\n",
+                                                  encoding="utf-8")
+        started = []
+
+        def factory(episode, index):
+            started.append(index)
+            return self._four_steps()
+
+        with pytest.raises(FileExistsError, match="step_1") as err:
+            run_suite(wall_scene, self._episodes(8), factory,
+                      parallel=parallel, out_dir=tmp_path)
+        assert "raised writing the trace of episode ep_0" in \
+            err.value.__notes__
+        assert sorted(started) == list(range(len(started)))
+        assert len(started) <= parallel + 1
+        assert not (tmp_path / "results.csv").exists()
+
+    @pytest.mark.parametrize("parallel", [1, 2])
+    def test_a_writer_that_dies_is_an_error_naming_the_episode(
+            self, wall_scene, tmp_path, monkeypatch, parallel):
+        died = tmp_path / "died"
+
+        def write_episode_trace(result, out_root):
+            died.touch()
+            os._exit(1)
+
+        monkeypatch.setattr(evaluation, "write_episode_trace",
+                            write_episode_trace)
+
+        class AfterTheWriterDied:
+            """Answers every query after the first only once the writer
+            has gone, so the steps after it go down a broken pipe."""
+
+            def __init__(self):
+                self.script = TestTraceWriter._four_steps()
+                self.queries = 0
+
+            def complete(self, prompt):
+                self.queries += 1
+                deadline = time.monotonic() + 10
+                while (self.queries > 1 and not died.exists()
+                       and time.monotonic() < deadline):
+                    time.sleep(0.005)
+                if self.queries > 1:
+                    time.sleep(0.05)    # lets the writer's exit close the pipe
+                return self.script.complete(prompt)
+
+        with pytest.raises(ChildProcessError,
+                           match="trace writer exited with status 1") as err:
+            run_suite(wall_scene, self._episodes(4),
+                      lambda e, i: AfterTheWriterDied(), parallel=parallel,
+                      out_dir=tmp_path / "out")
+        assert "raised writing the trace of episode ep_0" in \
+            err.value.__notes__
+        assert died.exists()
+        assert not (tmp_path / "out" / "results.csv").exists()
+
+    @pytest.mark.parametrize("parallel", [1, 2])
+    def test_an_episode_that_raises_leaves_no_directory(
+            self, wall_scene, tmp_path, monkeypatch, parallel):
+        doomed = self._four_steps()
+        real_query = evaluation.query
+        doomed_queries = []
+
+        def query(backend, bundle):
+            if backend is doomed:
+                doomed_queries.append(None)
+                if len(doomed_queries) == 3:
+                    raise RuntimeError("bug at step 2")
+            return real_query(backend, bundle)
+
+        monkeypatch.setattr(evaluation, "query", query)
+        with pytest.raises(RuntimeError, match="bug at step 2"):
+            run_suite(wall_scene, self._episodes(3),
+                      lambda e, i: doomed if i == 1 else self._four_steps(),
+                      parallel=parallel, out_dir=tmp_path / "out")
+        run_suite(wall_scene, [self._episodes(3)[i] for i in (0, 2)],
+                  self._four_steps, out_dir=tmp_path / "clean")
+        assert _tree_bytes(tmp_path / "out") == \
+            _tree_bytes(tmp_path / "clean")
+        assert sorted(p.name for p in (tmp_path / "out").iterdir()) == [
+            "ep_0", "ep_2", "results.csv", "summary.txt"]
+
+    @pytest.mark.parametrize("parallel", [1, 2])
+    @pytest.mark.parametrize("ending", ["return", "raise", "interrupt"])
+    def test_the_writer_is_reaped_however_the_suite_ends(
+            self, wall_scene, tmp_path, parallel, ending):
+        before = child_pids()
+        if before is None:
+            pytest.skip("this kernel does not list child processes")
+
+        class EndsAtStep1:
+            def __init__(self):
+                self.queries = 0
+
+            def complete(self, prompt):
+                self.queries += 1
+                if self.queries == 2 and ending == "raise":
+                    raise RuntimeError("bug at step 1")
+                if self.queries == 2 and ending == "interrupt":
+                    raise KeyboardInterrupt
+                return STRAIGHT_ONE if self.queries == 1 else STOP_RESPONSE
+
+        raised = {"return": None, "raise": RuntimeError,
+                  "interrupt": KeyboardInterrupt}[ending]
+        out = tmp_path / "out"
+        with (pytest.raises(raised) if raised
+              else contextlib.nullcontext()):
+            run_suite(wall_scene, self._episodes(3),
+                      lambda e, i: EndsAtStep1() if i == 1 else
+                      ScriptedBackend([STRAIGHT_ONE, STOP_RESPONSE]),
+                      parallel=parallel, out_dir=out)
+        assert child_pids() == before
+        assert (out / "ep_0" / "step_1" / "pose.txt").is_file()
+        assert (out / "ep_1").exists() == (raised is None)
 
 
 def _tree_bytes(root) -> dict[str, bytes]:

@@ -6,6 +6,7 @@ tested over the wire rather than against mocks of the client library.
 """
 
 import json
+import re
 import threading
 from types import SimpleNamespace
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
@@ -113,6 +114,45 @@ class TestParseAction:
         assert (action.degree, action.distance) == (DEGREE_MAX, 0.0)
         assert action.note == ("clamped degree inf -> 15; "
                                "clamped distance -inf -> 0")
+
+    @pytest.mark.parametrize("number, distance, note", [
+        (".5", 0.5, None),
+        ("1e3", DISTANCE_MAX, "clamped distance 1000 -> 10"),
+        ("2.5E-1", 0.25, None),
+        ("5.", 5.0, None),
+    ])
+    def test_each_number_is_read_whole(self, number, distance, note):
+        action = parse_action(f"(straight), (0 degrees), ({number} meters)")
+        assert (action.degree, action.distance) == (0.0, distance)
+        assert action.note == note
+
+    def test_a_number_run_on_into_another_point_is_refused(self):
+        with pytest.raises(ActionParseError, match="'1.2' runs on into"):
+            parse_action("(straight), (0 degrees), (1.2.3 meters)")
+
+    @given(x=st.floats(allow_nan=False, allow_infinity=False),
+           form=st.sampled_from(["repr", "g", "f", "point", "e"]),
+           digits=st.integers(0, 8))
+    @example(x=0.5, form="point", digits=1)
+    @example(x=1000.0, form="e", digits=0)
+    @settings(max_examples=500, deadline=None)
+    def test_the_distance_slot_gets_the_written_number_clamped(
+            self, x, form, digits):
+        fixed = f"%.{digits}f" % x
+        text = {"repr": repr(x), "g": "%g" % x, "f": fixed,
+                "point": re.sub(r"^(-?)0\.", r"\1.", fixed),
+                "e": f"%.{digits}e" % x}[form]
+        try:
+            action = parse_action(
+                f"(straight), (0 degrees), ({text} meters)")
+        except ActionParseError:
+            return
+        written = float(text)
+        clamped = min(max(written, 0.0), DISTANCE_MAX)
+        assert action.degree == 0.0
+        assert action.distance == clamped
+        assert ("clamped distance" in (action.note or "")) == \
+            (clamped != written)
 
     def test_no_verb_is_a_parse_error(self):
         with pytest.raises(ActionParseError):
